@@ -24,7 +24,7 @@ if [[ "$SANITIZE" == *thread* ]]; then
   # design e2e test must carry "Hogwild" in its name. Everything else —
   # including the trainer -> DeltaLog first-touch capture -> SyncEngine chain,
   # the parallel sync path (SyncMt.*: row-disjoint mt updates + parallel
-  # pack/fold/apply/pipelining at threads {2,4}), the concurrent
+  # pack/fold/apply at threads {2,4}), the concurrent
   # model/bitvector tests, and the async parameter server (PsTrain.*: one
   # thread per rank pushing/serving concurrently; each rank's model is
   # thread-private and VirtualTimeBoard stamps are atomics, so the async

@@ -16,7 +16,7 @@ for b in /root/repo/build/bench/*; do
       ;;
     micro_sync)
       # Sync critical path: one full pack/exchange/fold/apply round at
-      # 100k x 200 scale, serial vs parallel engine, 1 vs 4 worker threads
+      # 100k x 200 scale, 1 vs 4 worker threads, per wire codec
       # (BM_SyncRound; sync() wall only via manual timing).
       "$b" --benchmark_out=/root/repo/bench_results/BENCH_sync.json \
            --benchmark_out_format=json

@@ -73,12 +73,12 @@ std::vector<std::vector<std::uint8_t>> Collectives::allGatherv(std::vector<std::
   return out;
 }
 
-std::vector<std::vector<std::uint8_t>> Collectives::allToAllv(
-    std::vector<std::vector<std::uint8_t>> toPeer, sim::CommPhase phase) {
-  if (toPeer.size() != numRanks_)
+void Collectives::allToAllv(std::vector<std::vector<std::uint8_t>>& toPeer,
+                            std::vector<std::vector<std::uint8_t>>& from,
+                            sim::CommPhase phase) {
+  if (toPeer.size() != numRanks_ || from.size() != numRanks_)
     throw std::invalid_argument("allToAllv: need exactly one payload slot per rank");
-  std::vector<std::vector<std::uint8_t>> from(numRanks_);
-  if (numRanks_ == 1) return from;
+  if (numRanks_ == 1) return;
   const int tag = nextTag();
   for (RankId p = 0; p < numRanks_; ++p) {
     if (p == me_) continue;
@@ -89,7 +89,6 @@ std::vector<std::vector<std::uint8_t>> Collectives::allToAllv(
     from[src] = std::move(payload);
   }
   recordRounds(numRanks_ - 1);
-  return from;
 }
 
 }  // namespace gw2v::comm

@@ -167,67 +167,14 @@ class Collectives {
   std::vector<std::vector<std::uint8_t>> allGatherv(
       std::vector<std::uint8_t> mine, sim::CommPhase phase = sim::CommPhase::kBroadcast);
 
-  /// Personalized exchange: `toPeer[p]` is delivered to rank p (self slot is
-  /// ignored); returns per-source payloads with an empty self slot. The
-  /// drain uses recvAny, so a slow peer never blocks faster ones.
-  std::vector<std::vector<std::uint8_t>> allToAllv(
-      std::vector<std::vector<std::uint8_t>> toPeer,
-      sim::CommPhase phase = sim::CommPhase::kOther);
-
-  /// Pipelined personalized exchange in `chunks` slices, double-buffered:
-  /// chunk c+1 is packed and posted while chunk c is still in flight, so a
-  /// caller's pack/fold CPU overlaps the fabric. Contract per chunk c:
-  ///
-  ///   pack(c)       fills `toPeer` (self slot ignored); payload vectors are
-  ///                 moved out on send, the outer vector is caller-owned and
-  ///                 reused — no per-chunk allocation here.
-  ///   consume(c)    runs after chunk c is fully drained into `from`
-  ///                 (indexed by source, self slot untouched); the callee
-  ///                 may steal the payload vectors.
-  ///
-  /// Call order on every rank: pack(0), send 0, then for each c: [pack(c+1),
-  /// send c+1,] drain c, consume(c) — so while chunk c is in flight the host
-  /// executes consume(c-1) and pack(c+1). With chunks == 1 the wire traffic
-  /// (messages, tags, bytes, recorded rounds) is identical to allToAllv.
-  template <typename PackFn, typename ConsumeFn>
-  void allToAllvPipelined(unsigned chunks, std::vector<std::vector<std::uint8_t>>& toPeer,
-                          std::vector<std::vector<std::uint8_t>>& from, PackFn&& pack,
-                          ConsumeFn&& consume, sim::CommPhase phase = sim::CommPhase::kOther) {
-    if (chunks == 0) chunks = 1;
-    if (toPeer.size() != numRanks_ || from.size() != numRanks_)
-      throw std::invalid_argument("allToAllvPipelined: need one slot per rank");
-    if (numRanks_ == 1) {
-      for (unsigned c = 0; c < chunks; ++c) {
-        pack(c);
-        consume(c);
-      }
-      return;
-    }
-    const auto postChunk = [&](int tag) {
-      for (RankId p = 0; p < numRanks_; ++p) {
-        if (p == me_) continue;
-        t_.send(me_, p, tag, std::move(toPeer[p]), phase);
-      }
-    };
-    pack(0);
-    int tagCur = nextTag();
-    postChunk(tagCur);
-    for (unsigned c = 0; c < chunks; ++c) {
-      int tagNext = 0;
-      if (c + 1 < chunks) {
-        pack(c + 1);
-        tagNext = nextTag();
-        postChunk(tagNext);  // posted before blocking on chunk c: double buffer
-      }
-      for (unsigned k = 1; k < numRanks_; ++k) {
-        auto [src, payload] = t_.recvAny(me_, tagCur, phase);
-        from[src] = std::move(payload);
-      }
-      recordRounds(numRanks_ - 1);
-      consume(c);
-      tagCur = tagNext;
-    }
-  }
+  /// Personalized exchange: `toPeer[p]` is moved to rank p and each peer's
+  /// payload lands in `from[src]`; self slots are ignored and left untouched.
+  /// Both slot vectors are caller-owned (one slot per rank), so a caller can
+  /// recycle the payload buffers across exchanges. The drain uses recvAny,
+  /// so a slow peer never blocks faster ones.
+  void allToAllv(std::vector<std::vector<std::uint8_t>>& toPeer,
+                 std::vector<std::vector<std::uint8_t>>& from,
+                 sim::CommPhase phase = sim::CommPhase::kOther);
 
   /// Operations issued so far (tags consumed); equal on every rank in SPMD.
   std::uint64_t opsIssued() const noexcept { return seq_; }

@@ -1,17 +1,41 @@
 #include "comm/scalar_sync.h"
 
 #include <cassert>
+#include <stdexcept>
+#include <vector>
 
-#include "comm/codec.h"
 #include "comm/serialize.h"
 
 namespace gw2v::comm {
 
+namespace {
+
+/// Walks a [u32 count][(u32 node, f32 value) × count] payload. The size must
+/// match the count and node ids must ascend strictly inside [lo, hi); both
+/// are checked before `fn` sees an entry.
+template <typename Fn>
+void forEachEntry(std::span<const std::uint8_t> payload, std::uint32_t lo, std::uint32_t hi,
+                  Fn&& fn) {
+  ByteReader r(payload);
+  const auto count = r.get<std::uint32_t>();
+  if (r.remaining() != static_cast<std::size_t>(count) * 8)
+    throw std::runtime_error("scalar sync payload: size does not match its count");
+  std::uint32_t next = lo;  // smallest id the next entry may carry
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const auto n = r.get<std::uint32_t>();
+    if (n < next || n >= hi)
+      throw std::runtime_error("scalar sync payload: node id out of range or order");
+    next = n + 1;
+    fn(n, r.get<float>());
+  }
+}
+
+}  // namespace
+
 ScalarSyncEngine::ScalarSyncEngine(sim::HostContext& ctx, std::span<float> values,
                                    util::BitVector& touched,
                                    const graph::BlockedPartition& partition,
-                                   ScalarReduceOp op, sim::NetworkModel netModel,
-                                   SyncCodec codec, bool errorFeedback)
+                                   ScalarReduceOp op, sim::NetworkModel netModel)
     : ctx_(ctx),
       transport_(ctx.network()),
       coll_(transport_, ctx.id(), TagSpace::kScalarSync),
@@ -19,12 +43,9 @@ ScalarSyncEngine::ScalarSyncEngine(sim::HostContext& ctx, std::span<float> value
       touched_(touched),
       partition_(partition),
       op_(op),
-      netModel_(netModel),
-      codec_(codec) {
+      netModel_(netModel) {
   assert(values_.size() == partition_.numNodes());
   assert(touched_.size() >= partition_.numNodes());
-  if (codec_ != SyncCodec::kFp32 && errorFeedback)
-    residual_.assign(partition_.numNodes(), 0.0f);
 }
 
 std::uint64_t ScalarSyncEngine::sync() {
@@ -33,48 +54,11 @@ std::uint64_t ScalarSyncEngine::sync() {
   const auto better = [this](float candidate, float current) {
     return op_ == ScalarReduceOp::kMin ? candidate < current : candidate > current;
   };
-  // Lossy wire encode/decode for one scalar: the row codec helpers on a
-  // one-value "row" (exact for BFS/CC-style small integers under fp16 and
-  // near-exact under int8's one-value scale), with the node's banked
-  // residual folded in when error feedback is on.
-  const std::size_t valueBytes = codecValueBytes(codec_, 1);
-  alignas(4) std::uint8_t encScratch[16];
-  float decScratch;
-  assert(valueBytes <= sizeof(encScratch));
-  const auto putValue = [&](ByteWriter& w, std::uint32_t n) {
-    float v = values_[n];
-    if (codec_ == SyncCodec::kFp32) {
-      w.put(v);
-      return;
-    }
-    if (!residual_.empty()) v += residual_[n];
-    encodeRowValues(codec_, std::span<const float>(&v, 1), encScratch);
-    if (!residual_.empty()) {
-      decodeRowValues(codec_, encScratch, std::span<float>(&decScratch, 1));
-      residual_[n] = v - decScratch;
-    }
-    w.putSpan(std::span<const std::uint8_t>(encScratch, valueBytes));
-  };
-  const auto getValue = [&](ByteReader& r) -> float {
-    if (codec_ == SyncCodec::kFp32) return r.get<float>();
-    if (codec_ == SyncCodec::kFp16) {
-      // Via view<u16> so the decode kernel always sees aligned input.
-      const auto h = r.view<std::uint16_t>(1);
-      float v;
-      decodeRowValues(codec_, reinterpret_cast<const std::uint8_t*>(h.data()),
-                      std::span<float>(&v, 1));
-      return v;
-    }
-    const auto b = r.view<std::uint8_t>(valueBytes);
-    float v;
-    decodeRowValues(codec_, b.data(), std::span<float>(&v, 1));
-    return v;
-  };
 
   const sim::CommSnapshot before = sim::snapshot(ctx_.commStats());
 
   // Reduce: touched labels to their masters (personalized exchange).
-  std::vector<std::vector<std::uint8_t>> reduceOut(numHosts);
+  std::vector<std::vector<std::uint8_t>> reduceOut(numHosts), reduceIn(numHosts);
   for (unsigned peer = 0; peer < numHosts; ++peer) {
     if (peer == me) continue;
     const auto [lo, hi] = partition_.masterRange(peer);
@@ -82,12 +66,11 @@ std::uint64_t ScalarSyncEngine::sync() {
     w.put(static_cast<std::uint32_t>(touched_.countInRange(lo, hi)));
     touched_.forEachSetInRange(lo, hi, [&](std::size_t n) {
       w.put(static_cast<std::uint32_t>(n));
-      putValue(w, static_cast<std::uint32_t>(n));
+      w.put(values_[n]);
     });
     reduceOut[peer] = w.take();
   }
-  const std::vector<std::vector<std::uint8_t>> reduceIn =
-      coll_.allToAllv(std::move(reduceOut), sim::CommPhase::kReduce);
+  coll_.allToAllv(reduceOut, reduceIn, sim::CommPhase::kReduce);
 
   // Master-side fold. Track which owned labels improved.
   std::uint64_t changed = 0;
@@ -97,17 +80,13 @@ std::uint64_t ScalarSyncEngine::sync() {
   touched_.forEachSetInRange(ownLo, ownHi, [&](std::size_t n) { improved.set(n - ownLo); });
   for (unsigned src = 0; src < numHosts; ++src) {
     if (src == me) continue;
-    ByteReader r(reduceIn[src]);
-    const std::uint32_t count = r.get<std::uint32_t>();
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const std::uint32_t n = r.get<std::uint32_t>();
-      const float v = getValue(r);
+    forEachEntry(reduceIn[src], ownLo, ownHi, [&](std::uint32_t n, float v) {
       if (better(v, values_[n])) {
         values_[n] = v;
         improved.set(n - ownLo);
         ++changed;
       }
-    }
+    });
   }
 
   // Broadcast improved masters to every host: each host publishes one block,
@@ -117,24 +96,21 @@ std::uint64_t ScalarSyncEngine::sync() {
   improved.forEachSet([&](std::size_t off) {
     const auto n = static_cast<std::uint32_t>(ownLo + off);
     w.put(n);
-    putValue(w, n);
+    w.put(values_[n]);
   });
   const std::vector<std::vector<std::uint8_t>> bcastIn =
       coll_.allGatherv(w.take(), sim::CommPhase::kBroadcast);
   for (unsigned src = 0; src < numHosts; ++src) {
     if (src == me) continue;
-    ByteReader r(bcastIn[src]);
-    const std::uint32_t count = r.get<std::uint32_t>();
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const std::uint32_t n = r.get<std::uint32_t>();
-      const float v = getValue(r);
+    const auto [lo, hi] = partition_.masterRange(src);
+    forEachEntry(bcastIn[src], lo, hi, [&](std::uint32_t n, float v) {
       // Masters are authoritative: their folded value overwrites mirrors
       // (it can only be better-or-equal under an idempotent reduction).
       if (values_[n] != v) {
         values_[n] = v;
         ++changed;
       }
-    }
+    });
   }
 
   touched_.reset();

@@ -12,17 +12,16 @@
 // returns the number of labels that changed on this host (via fold or
 // broadcast), which callers combine across hosts to detect quiescence.
 //
-// Deliberately single-threaded: scalar payloads are a few bytes per label,
-// so this engine stays the simple sequential reference while SyncEngine's
-// dense-row path is parallelized/pipelined (the fuzz tests cross-check the
-// parallel row engine against SyncEngine's serial mode, which shares this
-// file's one-pass protocol shape).
+// Deliberately single-threaded and fp32-only: scalar payloads are a few
+// bytes per label, and the value-space MIN/MAX fold works on one float per
+// node, so it stays separate from SyncEngine's parallel delta-space rows.
+// Received payloads are validated before use: a size that disagrees with its
+// count, or a node id outside the sender's permitted range or out of
+// ascending order, throws std::runtime_error.
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
-#include "comm/codec.h"
 #include "comm/collectives.h"
 #include "comm/transport.h"
 #include "graph/partition.h"
@@ -38,36 +37,15 @@ class ScalarSyncEngine {
  public:
   /// `values` and `touched` are the host's label array and dirty bits; both
   /// must outlive the engine and have one slot per node.
-  ///
-  /// `codec` compresses the per-label values on the wire through the same
-  /// comm::SyncCodec helpers the row engines use, on one-value "rows". fp32
-  /// (default) is the historical byte-exact protocol; fp16 halves value
-  /// bytes and is exact for the small-integer labels BFS/CC produce. int8
-  /// is supported for codec parity but its one-value scale costs
-  /// 4 + 1 = 5 bytes per value — *more* than fp32; the scale also makes a
-  /// single value round-trip near-exactly (q = ±127), so it is numerically
-  /// the safest lossy choice, just not a compression win here.
-  ///
-  /// Lossy codecs keep per-node error-feedback residuals (mirroring the row
-  /// engines): a send ships Q(value + residual) and banks the new
-  /// quantization error. Under an idempotent min/max fold the compensation
-  /// can transiently overshoot by at most half a quantization step — unlike
-  /// delta-space sync the residual is *not* required for convergence, so
-  /// `errorFeedback = false` turns it off and ships plain Q(value).
   ScalarSyncEngine(sim::HostContext& ctx, std::span<float> values, util::BitVector& touched,
                    const graph::BlockedPartition& partition, ScalarReduceOp op,
-                   sim::NetworkModel netModel = {}, SyncCodec codec = SyncCodec::kFp32,
-                   bool errorFeedback = true);
+                   sim::NetworkModel netModel = {});
 
   /// One BSP sync round; clears the touched bits. Returns how many of this
   /// host's labels changed (master folds + received broadcasts).
   std::uint64_t sync();
 
   std::uint64_t rounds() const noexcept { return round_; }
-
-  /// Per-node banked quantization error (empty for fp32 or when error
-  /// feedback is off). Zero wherever the codec round-trips exactly.
-  std::span<const float> residuals() const noexcept { return residual_; }
 
  private:
   sim::HostContext& ctx_;
@@ -78,8 +56,6 @@ class ScalarSyncEngine {
   const graph::BlockedPartition& partition_;
   ScalarReduceOp op_;
   sim::NetworkModel netModel_;
-  SyncCodec codec_;
-  std::vector<float> residual_;  // per-node EF bank, lossy codecs only
   std::uint64_t round_ = 0;
 };
 

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <stdexcept>
 
-#include "comm/serialize.h"
 #include "runtime/do_all.h"
-#include "sim/network.h"
 #include "util/timer.h"
 #include "util/vecmath.h"
 
@@ -27,6 +26,19 @@ std::uint32_t getU32(const std::uint8_t* p) noexcept {
   std::uint32_t v;
   std::memcpy(&v, p, 4);
   return v;
+}
+
+/// Throws unless the `count` u32 row ids at `p`, `stride` bytes apart,
+/// ascend strictly inside [lo, hi).
+void checkRowIds(const std::uint8_t* p, std::uint32_t count, std::size_t stride,
+                 std::uint32_t lo, std::uint32_t hi) {
+  std::uint32_t next = lo;  // smallest id the next entry may carry
+  for (std::uint32_t j = 0; j < count; ++j, p += stride) {
+    const std::uint32_t n = getU32(p);
+    if (n < next || n >= hi)
+      throw std::runtime_error("sync payload: row id out of range or order");
+    next = n + 1;
+  }
 }
 
 }  // namespace
@@ -54,7 +66,9 @@ SyncEngine::SyncEngine(sim::HostContext& ctx, graph::ModelGraph& model,
       syncOpts_(opts) {
   assert(partition_.numNodes() == model_.numNodes());
   assert(partition_.numHosts() == ctx_.numHosts());
-  ensureResiduals(false);
+  if (syncOpts_.codec != SyncCodec::kFp32) {
+    for (auto& table : residual_) table.init(model_.numNodes(), model_.dim());  // zero-filled
+  }
   rebaseline();
 }
 
@@ -65,42 +79,10 @@ void SyncEngine::rebaseline() {
   model_.clearTouched();
 }
 
-void SyncEngine::ensureResiduals(bool reset) {
-  if (syncOpts_.codec == SyncCodec::kFp32 && !reset) return;
-  for (auto& table : residual_) {
-    if (table.numRows() != model_.numNodes() || table.dim() != model_.dim()) {
-      table.init(model_.numNodes(), model_.dim());  // init zero-fills
-    } else if (reset) {
-      for (std::uint32_t n = 0; n < table.numRows(); ++n) {
-        auto row = table.untrackedRow(n);
-        std::fill(row.begin(), row.end(), 0.0f);
-      }
-    }
-  }
-}
-
-void SyncEngine::setCodec(SyncCodec codec, bool errorFeedback) {
-  const bool changed = codec != syncOpts_.codec;
-  syncOpts_.codec = codec;
-  syncOpts_.errorFeedback = errorFeedback;
-  // Stale error from another codec's quantization grid is meaningless —
-  // re-adding it would inject noise, not correct it.
-  if (changed) ensureResiduals(true);
-  ensureResiduals(false);
-}
-
 void SyncEngine::sync() { doSync(nullptr); }
 
 void SyncEngine::sync(const util::BitVector& willAccessNextRound) {
   doSync(&willAccessNextRound);
-}
-
-void SyncEngine::doSync(const util::BitVector* willAccess) {
-  if (syncOpts_.serial) {
-    doSyncSerial(willAccess);
-  } else {
-    doSyncParallel(willAccess);
-  }
 }
 
 std::vector<std::uint8_t> SyncEngine::acquireBuf(std::size_t bytes) {
@@ -135,7 +117,8 @@ void SyncEngine::releaseBuf(std::vector<std::uint8_t>&& b) {
 }
 
 // PullModel control exchange: tell each master which of its nodes this host
-// will access next round; parse the symmetric lists into pullWants_.
+// will access next round; parse the symmetric lists into pullWants_. A list
+// names rows of this host's master range, ascending.
 void SyncEngine::exchangeWillAccess(const util::BitVector* willAccess) {
   const unsigned numHosts = ctx_.numHosts();
   const sim::HostId me = ctx_.id();
@@ -144,83 +127,64 @@ void SyncEngine::exchangeWillAccess(const util::BitVector* willAccess) {
   if (numHosts <= 1) return;
 
   runtime::PhaseStats& phases = ctx_.syncPhases();
-  double packW = 0.0, parseW = 0.0;
   util::WallTimer total;
-  const auto pack = [&](unsigned /*chunk*/) {
-    util::WallTimer t;
-    for (unsigned peer = 0; peer < numHosts; ++peer) {
-      if (peer == me) continue;
-      const auto [lo, hi] = partition_.masterRange(peer);
-      const std::uint32_t count =
-          willAccess != nullptr ? static_cast<std::uint32_t>(willAccess->countInRange(lo, hi))
-                                : hi - lo;
-      auto buf = acquireBuf(4 + static_cast<std::size_t>(count) * 4);
-      std::uint8_t* p = buf.data();
-      putU32(p, count);
-      p += 4;
-      if (willAccess != nullptr) {
-        willAccess->forEachSetInRange(lo, hi, [&](std::size_t n) {
-          putU32(p, static_cast<std::uint32_t>(n));
-          p += 4;
-        });
-      } else {
-        for (std::uint32_t n = lo; n < hi; ++n) {
-          putU32(p, n);
-          p += 4;
-        }
+  util::WallTimer t;
+  for (unsigned peer = 0; peer < numHosts; ++peer) {
+    if (peer == me) continue;
+    const auto [lo, hi] = partition_.masterRange(peer);
+    const std::uint32_t count =
+        willAccess != nullptr ? static_cast<std::uint32_t>(willAccess->countInRange(lo, hi))
+                              : hi - lo;
+    auto buf = acquireBuf(4 + static_cast<std::size_t>(count) * 4);
+    std::uint8_t* p = buf.data();
+    putU32(p, count);
+    p += 4;
+    if (willAccess != nullptr) {
+      willAccess->forEachSetInRange(lo, hi, [&](std::size_t n) {
+        putU32(p, static_cast<std::uint32_t>(n));
+        p += 4;
+      });
+    } else {
+      for (std::uint32_t n = lo; n < hi; ++n) {
+        putU32(p, n);
+        p += 4;
       }
-      sendBufs_[peer] = std::move(buf);
     }
-    packW += t.seconds();
-  };
-  const auto consume = [&](unsigned /*chunk*/) {
-    util::WallTimer t;
-    for (unsigned src = 0; src < numHosts; ++src) {
-      if (src == me) continue;
-      auto& buf = recvBufs_[src];
-      const std::uint32_t count = getU32(buf.data());
-      auto& wants = pullWants_[src];
-      if (wants.capacity() < count) ++scratchGrowEvents_;
-      wants.reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        wants.push_back(getU32(buf.data() + 4 + static_cast<std::size_t>(i) * 4));
-      }
-      releaseBuf(std::move(buf));
+    sendBufs_[peer] = std::move(buf);
+  }
+  const double packW = t.seconds();
+  coll_.allToAllv(sendBufs_, recvBufs_, sim::CommPhase::kControl);
+  t.reset();
+  const auto [ownLo, ownHi] = partition_.masterRange(me);
+  for (unsigned src = 0; src < numHosts; ++src) {
+    if (src == me) continue;
+    auto& buf = recvBufs_[src];
+    if (buf.size() < 4) throw std::runtime_error("sync want list: truncated count");
+    const std::uint32_t count = getU32(buf.data());
+    if (buf.size() - 4 != static_cast<std::size_t>(count) * 4)
+      throw std::runtime_error("sync want list: size does not match its count");
+    checkRowIds(buf.data() + 4, count, 4, ownLo, ownHi);
+    auto& wants = pullWants_[src];
+    if (wants.capacity() < count) ++scratchGrowEvents_;
+    wants.resize(count);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      wants[i] = getU32(buf.data() + 4 + static_cast<std::size_t>(i) * 4);
     }
-    parseW += t.seconds();
-  };
-  coll_.allToAllvPipelined(1, sendBufs_, recvBufs_, pack, consume, sim::CommPhase::kControl);
+    releaseBuf(std::move(buf));
+  }
+  const double parseW = t.seconds();
   phases.add(0, runtime::SyncPhase::kPack, packW);
   phases.add(0, runtime::SyncPhase::kFold, parseW);
   phases.add(0, runtime::SyncPhase::kExchange, std::max(0.0, total.seconds() - packW - parseW));
 }
 
-// Simulated makespan of one pipelined exchange: the host pays pack(0) up
-// front, then per chunk the larger of its transfer and the CPU work the
-// pipeline hides behind it (pack of the next chunk + fold of the previous
-// one), and finally the last fold — max(compute, transfer) per chunk.
-double SyncEngine::chargePipelineSeconds() const noexcept {
-  const std::size_t k = chunkPack_.size();
-  if (k == 0) return 0.0;
-  double t = chunkPack_[0];
-  for (std::size_t c = 0; c < k; ++c) {
-    const double cpuOverlap =
-        (c + 1 < k ? chunkPack_[c + 1] : 0.0) + (c > 0 ? chunkConsume_[c - 1] : 0.0);
-    t += std::max(chunkTransfer_[c], cpuOverlap);
-  }
-  t += chunkConsume_[k - 1];
-  return t;
-}
-
-// The parallel/pipelined path. Byte- and bit-identical to doSyncSerial at
-// any thread count when pipelineChunks == 1 (the default); with K > 1, model
-// bits stay identical while byte counts grow by the extra chunk headers and
-// message framing. Determinism argument in DESIGN.md §5f.
-void SyncEngine::doSyncParallel(const util::BitVector* willAccess) {
+// One round: pack → allToAllv → fold → apply for the reduce, then the same
+// for the broadcast. Bit-identical at any thread count; determinism argument
+// in DESIGN.md §5f.
+void SyncEngine::doSync(const util::BitVector* willAccess) {
   const unsigned numHosts = ctx_.numHosts();
   const sim::HostId me = ctx_.id();
   const std::uint32_t dim = model_.dim();
-  const std::uint32_t numNodes = model_.numNodes();
   const bool naive = strategy_ == SyncStrategy::kRepModelNaive;
   const bool pull = strategy_ == SyncStrategy::kPullModel;
   runtime::ThreadPool& pool = ctx_.pool();
@@ -230,7 +194,6 @@ void SyncEngine::doSyncParallel(const util::BitVector* willAccess) {
   const bool lossy = codec != SyncCodec::kFp32;
   const bool ef = lossy && syncOpts_.errorFeedback;
   const std::size_t entryBytes = codecEntryBytes(codec, dim);
-  const unsigned chunks = std::max(1u, std::min(syncOpts_.pipelineChunks, numNodes));
 
   const sim::CommSnapshot before = sim::snapshot(ctx_.commStats());
 
@@ -245,10 +208,6 @@ void SyncEngine::doSyncParallel(const util::BitVector* willAccess) {
     for (auto& s : threadDecode_) ensureSize(s, dim);
   }
   ensureSize(segDirs_, static_cast<std::size_t>(numHosts) * graph::kNumLabels);
-  ensureSize(chunkPack_, chunks);
-  ensureSize(chunkConsume_, chunks);
-  ensureSize(chunkTransfer_, chunks);
-  ensureSize(chunkBytes_, chunks);
 
   const auto [ownLo, ownHi] = partition_.masterRange(me);
   const std::uint32_t ownCount = ownHi - ownLo;
@@ -312,216 +271,190 @@ void SyncEngine::doSyncParallel(const util::BitVector* willAccess) {
     }
     return lo;
   };
-  // Parse one payload into its per-label segment directory; returns bytes
-  // charged (payload + fabric framing).
-  const auto parseSegments = [&](unsigned src) -> std::uint64_t {
+  // Parse src's payload into its per-label segment directory. Every length
+  // is checked before the cursor moves past it, and every row id must lie in
+  // [lo, hi) and ascend strictly (the fold's binary search and the
+  // row-disjoint apply depend on it) — so the workers that read the
+  // segments next can neither run off the buffer nor write outside it.
+  const auto parseSegments = [&](unsigned src, std::uint32_t lo, std::uint32_t hi) {
     const auto& buf = recvBufs_[src];
-    const std::uint8_t* p = buf.data();
-    [[maybe_unused]] const std::uint8_t* endp = p + buf.size();
+    std::size_t off = 0;
     for (int l = 0; l < graph::kNumLabels; ++l) {
-      const std::uint32_t count = getU32(p);
-      p += 4;
-      segAt(src, l) = {p, count};
-      p += static_cast<std::size_t>(count) * entryBytes;
-      assert(p <= endp);
+      if (buf.size() - off < 4) throw std::runtime_error("sync payload: truncated count");
+      const std::uint32_t count = getU32(buf.data() + off);
+      off += 4;
+      if (count > (buf.size() - off) / entryBytes)
+        throw std::runtime_error("sync payload: truncated entries");
+      checkRowIds(buf.data() + off, count, entryBytes, lo, hi);
+      segAt(src, l) = {buf.data() + off, count};
+      off += static_cast<std::size_t>(count) * entryBytes;
     }
-    assert(p == endp);
-    return buf.size() + sim::Network::kHeaderBytes;
+    if (off != buf.size()) throw std::runtime_error("sync payload: trailing bytes");
   };
-
-  // ---- PullModel inspection exchange. ----
-  const sim::CommSnapshot beforeData = [&] {
-    if (pull) exchangeWillAccess(willAccess);
-    return sim::snapshot(ctx_.commStats());
-  }();
-  const double ctrlCharge =
-      netModel_.exchangeSeconds(sim::delta(before, beforeData));
-
-  // ---- Reduce phase: ship touched (or all, for Naive) mirror deltas to
-  // masters; fold + apply row-parallel as chunks drain. ----
-  double packW = 0.0, foldW = 0.0, applyW = 0.0;
-  util::WallTimer reduceWall;
-  const auto packReduce = [&](unsigned c) {
-    util::WallTimer t;
-    const auto [cLo64, cHi64] = runtime::blockRange(numNodes, chunks, c);
-    const auto cLo = static_cast<std::uint32_t>(cLo64);
-    const auto cHi = static_cast<std::uint32_t>(cHi64);
-    std::uint64_t sentBytes = 0;
-    tasks_.clear();
-    for (unsigned peer = 0; peer < numHosts; ++peer) {
-      if (peer == me) continue;
-      const auto [mLo, mHi] = partition_.masterRange(peer);
-      const std::uint32_t lo = std::max(mLo, cLo);
-      const std::uint32_t hi = std::min(mHi, cHi);
-      const std::uint32_t len = hi > lo ? hi - lo : 0;
-      std::array<std::uint32_t, graph::kNumLabels> counts;
-      std::size_t size = 0;
-      for (int l = 0; l < graph::kNumLabels; ++l) {
-        const auto& table = model_.table(static_cast<graph::Label>(l));
-        counts[l] = naive ? len
-                          : (len > 0 ? static_cast<std::uint32_t>(
-                                           table.dirty().countInRange(lo, hi))
-                                     : 0);
-        size += 4 + static_cast<std::size_t>(counts[l]) * entryBytes;
-      }
-      auto buf = acquireBuf(size);
-      std::size_t off = 0;
-      for (int l = 0; l < graph::kNumLabels; ++l) {
-        putU32(buf.data() + off, counts[l]);
-        off += 4;
-        if (counts[l] == 0) continue;
-        // Static split of the row range over workers; each block's byte
-        // offset is the entry count before it, so workers write disjoint
-        // pre-computed slices and bytes match the sequential writer.
-        const auto& dirty = model_.table(static_cast<graph::Label>(l)).dirty();
-        std::uint32_t prefix = 0;
-        for (unsigned b = 0; b < numThreads; ++b) {
-          const auto [bl, bh] = runtime::blockRange(len, numThreads, b);
-          const std::uint32_t rl = lo + static_cast<std::uint32_t>(bl);
-          const std::uint32_t rh = lo + static_cast<std::uint32_t>(bh);
-          const std::uint32_t cnt =
-              naive ? rh - rl
-                    : static_cast<std::uint32_t>(dirty.countInRange(rl, rh));
-          if (cnt > 0) {
-            pushTask({peer, l, rl, rh, off + static_cast<std::size_t>(prefix) * entryBytes});
-          }
-          prefix += cnt;
-        }
-        assert(prefix == counts[l]);
-        off += static_cast<std::size_t>(counts[l]) * entryBytes;
-      }
-      assert(off == size);
-      sentBytes += size + sim::Network::kHeaderBytes;
-      sendBufs_[peer] = std::move(buf);
-    }
-    runtime::doAllTid(
-        pool, 0, tasks_.size(),
-        [&](unsigned tid, std::uint64_t i) {
-          const PackTask& task = tasks_[i];
-          const auto& table = model_.table(static_cast<graph::Label>(task.label));
-          auto& residual = residual_[task.label];
-          std::uint8_t* out = sendBufs_[task.peer].data() + task.byteOff;
-          auto& scratch = threadScratch_[tid];
-          const auto emitDelta = [&](std::uint32_t n, std::span<const float> oldRow,
-                                     std::span<const float> cur) {
-            util::sub(cur, oldRow, scratch);
-            putU32(out, n);
-            if (!lossy) {
-              std::memcpy(out + 4, scratch.data(), entryBytes - 4);
-            } else {
-              // Error feedback: owe = delta + residual; ship Q(owe); remember
-              // owe - decode(Q(owe)). Rows are disjoint across pack tasks
-              // (each row has one master), so residual writes don't race.
-              if (ef) util::add(residual.row(n), scratch);
-              encodeRowValues(codec, scratch, out + 4);
-              if (ef) {
-                auto& dec = threadDecode_[tid];
-                decodeRowValues(codec, out + 4, dec);
-                util::sub(scratch, dec, residual.untrackedRow(n));
-              }
-            }
-            out += entryBytes;
-          };
-          if (naive) {
-            for (std::uint32_t n = task.lo; n < task.hi; ++n) {
-              emitDelta(n, table.baselineRow(n), table.row(n));
-            }
-          } else {
-            table.forEachDeltaInRange(task.lo, task.hi, emitDelta);
-          }
-        },
-        {.chunkSize = 1});
-    chunkBytes_[c] = sentBytes;
-    chunkPack_[c] = t.seconds();
-    packW += chunkPack_[c];
-  };
-  const auto consumeReduce = [&](unsigned c) {
-    util::WallTimer t;
-    const auto [cLo64, cHi64] = runtime::blockRange(numNodes, chunks, c);
-    const std::uint32_t rLo = std::max(ownLo, static_cast<std::uint32_t>(cLo64));
-    const std::uint32_t rHi = std::min(ownHi, static_cast<std::uint32_t>(cHi64));
-    std::uint64_t recvBytes = 0;
-    for (unsigned src = 0; src < numHosts; ++src) {
-      if (src != me) recvBytes += parseSegments(src);
-    }
-    // Fold: rows partitioned over threads, sources walked in host-id order
-    // per row — the per-row contribution order matches the serial engine.
-    if (rHi > rLo) {
-      runtime::doAllBlocked(pool, rLo, rHi, [&](unsigned tid, std::uint64_t lo64,
-                                                std::uint64_t hi64) {
-        const auto bLo = static_cast<std::uint32_t>(lo64);
-        const auto bHi = static_cast<std::uint32_t>(hi64);
-        if (bHi <= bLo) return;
-        auto& scratch = threadScratch_[tid];
-        for (unsigned src = 0; src < numHosts; ++src) {
-          if (src == me) {
-            for (int l = 0; l < graph::kNumLabels; ++l) {
-              const auto& table = model_.table(static_cast<graph::Label>(l));
-              if (naive) {
-                for (std::uint32_t n = bLo; n < bHi; ++n) {
-                  util::sub(table.row(n), table.baselineRow(n), scratch);
-                  foldContribution(l, n, scratch);
-                }
-              } else {
-                table.forEachDeltaInRange(
-                    bLo, bHi,
-                    [&](std::uint32_t n, std::span<const float> oldRow,
-                        std::span<const float> cur) {
-                      util::sub(cur, oldRow, scratch);
-                      foldContribution(l, n, scratch);
-                    });
-              }
-            }
-            continue;
-          }
-          for (int l = 0; l < graph::kNumLabels; ++l) {
-            const SegDir& s = segAt(src, l);
-            for (std::uint32_t j = lowerBoundRow(s, bLo); j < s.count; ++j) {
-              const std::uint32_t n = rowAt(s, j);
-              if (n >= bHi) break;
-              // scratch is free in the remote branch; lossy codecs decode
-              // into it, fp32 folds the wire bytes in place.
-              foldContribution(l, n, entryValues(s, j, scratch));
-            }
-          }
-        }
-      });
-    }
-    const double foldSecs = t.seconds();
-    foldW += foldSecs;
-    // Apply combined steps to canonical values, row-parallel. The baseline
-    // must be copied out before the overwrite: for rows no thread captured,
-    // it aliases the row itself.
-    util::WallTimer ta;
-    if (rHi > rLo) {
-      runtime::doAllBlocked(pool, rLo, rHi, [&](unsigned tid, std::uint64_t lo64,
-                                                std::uint64_t hi64) {
-        auto& scratch = threadScratch_[tid];
-        for (int l = 0; l < graph::kNumLabels; ++l) {
-          auto& table = model_.table(static_cast<graph::Label>(l));
-          for (auto n = static_cast<std::uint32_t>(lo64); n < hi64; ++n) {
-            const std::uint32_t cnt = contribAt(l, n);
-            if (cnt == 0) continue;
-            auto a = accRow(l, n);
-            reducer_.finalize(a, cnt);
-            util::copyInto(table.baselineRow(n), scratch);
-            util::add(a, scratch);
-            util::copyInto(scratch, table.overwriteRow(n));
-          }
-        }
-      });
-    }
-    applyW += ta.seconds();
+  const auto releaseRecvBufs = [&] {
     for (unsigned src = 0; src < numHosts; ++src) {
       if (src != me) releaseBuf(std::move(recvBufs_[src]));
     }
-    chunkConsume_[c] = foldSecs + ta.seconds();
-    chunkTransfer_[c] =
-        netModel_.transferSeconds(chunkBytes_[c] + recvBytes, numHosts > 0 ? numHosts - 1 : 0);
   };
-  coll_.allToAllvPipelined(chunks, sendBufs_, recvBufs_, packReduce, consumeReduce,
-                           sim::CommPhase::kReduce);
-  const double reducePipelineCharge = chargePipelineSeconds();
+
+  // ---- PullModel inspection exchange. ----
+  if (pull) exchangeWillAccess(willAccess);
+
+  // ---- Reduce phase: ship touched (or all, for Naive) mirror deltas to
+  // masters; fold + apply the owned rows row-parallel. ----
+  util::WallTimer reduceWall;
+  util::WallTimer t;
+  tasks_.clear();
+  for (unsigned peer = 0; peer < numHosts; ++peer) {
+    if (peer == me) continue;
+    const auto [lo, hi] = partition_.masterRange(peer);
+    std::array<std::uint32_t, graph::kNumLabels> counts;
+    std::size_t size = 0;
+    for (int l = 0; l < graph::kNumLabels; ++l) {
+      const auto& table = model_.table(static_cast<graph::Label>(l));
+      counts[l] =
+          naive ? hi - lo : static_cast<std::uint32_t>(table.dirty().countInRange(lo, hi));
+      size += 4 + static_cast<std::size_t>(counts[l]) * entryBytes;
+    }
+    auto buf = acquireBuf(size);
+    std::size_t off = 0;
+    for (int l = 0; l < graph::kNumLabels; ++l) {
+      putU32(buf.data() + off, counts[l]);
+      off += 4;
+      if (counts[l] == 0) continue;
+      // Static split of the row range over workers; each block's byte
+      // offset is the entry count before it, so workers write disjoint
+      // pre-computed slices and bytes match the sequential writer.
+      const auto& dirty = model_.table(static_cast<graph::Label>(l)).dirty();
+      std::uint32_t prefix = 0;
+      for (unsigned b = 0; b < numThreads; ++b) {
+        const auto [bl, bh] = runtime::blockRange(hi - lo, numThreads, b);
+        const std::uint32_t rl = lo + static_cast<std::uint32_t>(bl);
+        const std::uint32_t rh = lo + static_cast<std::uint32_t>(bh);
+        const std::uint32_t cnt =
+            naive ? rh - rl : static_cast<std::uint32_t>(dirty.countInRange(rl, rh));
+        if (cnt > 0) {
+          pushTask({peer, l, rl, rh, off + static_cast<std::size_t>(prefix) * entryBytes});
+        }
+        prefix += cnt;
+      }
+      assert(prefix == counts[l]);
+      off += static_cast<std::size_t>(counts[l]) * entryBytes;
+    }
+    assert(off == size);
+    sendBufs_[peer] = std::move(buf);
+  }
+  runtime::doAllTid(
+      pool, 0, tasks_.size(),
+      [&](unsigned tid, std::uint64_t i) {
+        const PackTask& task = tasks_[i];
+        const auto& table = model_.table(static_cast<graph::Label>(task.label));
+        auto& residual = residual_[task.label];
+        std::uint8_t* out = sendBufs_[task.peer].data() + task.byteOff;
+        auto& scratch = threadScratch_[tid];
+        const auto emitDelta = [&](std::uint32_t n, std::span<const float> oldRow,
+                                   std::span<const float> cur) {
+          util::sub(cur, oldRow, scratch);
+          putU32(out, n);
+          if (!lossy) {
+            std::memcpy(out + 4, scratch.data(), entryBytes - 4);
+          } else {
+            // Error feedback: owe = delta + residual; ship Q(owe); remember
+            // owe - decode(Q(owe)). Rows are disjoint across pack tasks
+            // (each row has one master), so residual writes don't race.
+            if (ef) util::add(residual.row(n), scratch);
+            encodeRowValues(codec, scratch, out + 4);
+            if (ef) {
+              auto& dec = threadDecode_[tid];
+              decodeRowValues(codec, out + 4, dec);
+              util::sub(scratch, dec, residual.untrackedRow(n));
+            }
+          }
+          out += entryBytes;
+        };
+        if (naive) {
+          for (std::uint32_t n = task.lo; n < task.hi; ++n) {
+            emitDelta(n, table.baselineRow(n), table.row(n));
+          }
+        } else {
+          table.forEachDeltaInRange(task.lo, task.hi, emitDelta);
+        }
+      },
+      {.chunkSize = 1});
+  const double packW = t.seconds();
+  coll_.allToAllv(sendBufs_, recvBufs_, sim::CommPhase::kReduce);
+  t.reset();
+  for (unsigned src = 0; src < numHosts; ++src) {
+    if (src != me) parseSegments(src, ownLo, ownHi);
+  }
+  // Fold: rows partitioned over threads, sources walked in host-id order
+  // per row — the per-row contribution order is fixed by host ids alone.
+  if (ownCount > 0) {
+    runtime::doAllBlocked(pool, ownLo, ownHi, [&](unsigned tid, std::uint64_t lo64,
+                                                  std::uint64_t hi64) {
+      const auto bLo = static_cast<std::uint32_t>(lo64);
+      const auto bHi = static_cast<std::uint32_t>(hi64);
+      if (bHi <= bLo) return;
+      auto& scratch = threadScratch_[tid];
+      for (unsigned src = 0; src < numHosts; ++src) {
+        if (src == me) {
+          for (int l = 0; l < graph::kNumLabels; ++l) {
+            const auto& table = model_.table(static_cast<graph::Label>(l));
+            if (naive) {
+              for (std::uint32_t n = bLo; n < bHi; ++n) {
+                util::sub(table.row(n), table.baselineRow(n), scratch);
+                foldContribution(l, n, scratch);
+              }
+            } else {
+              table.forEachDeltaInRange(
+                  bLo, bHi,
+                  [&](std::uint32_t n, std::span<const float> oldRow,
+                      std::span<const float> cur) {
+                    util::sub(cur, oldRow, scratch);
+                    foldContribution(l, n, scratch);
+                  });
+            }
+          }
+          continue;
+        }
+        for (int l = 0; l < graph::kNumLabels; ++l) {
+          const SegDir& s = segAt(src, l);
+          for (std::uint32_t j = lowerBoundRow(s, bLo); j < s.count; ++j) {
+            const std::uint32_t n = rowAt(s, j);
+            if (n >= bHi) break;
+            // scratch is free in the remote branch; lossy codecs decode
+            // into it, fp32 folds the wire bytes in place.
+            foldContribution(l, n, entryValues(s, j, scratch));
+          }
+        }
+      }
+    });
+  }
+  const double foldW = t.seconds();
+  // Apply combined steps to canonical values, row-parallel. The baseline
+  // must be copied out before the overwrite: for rows no thread captured,
+  // it aliases the row itself.
+  t.reset();
+  if (ownCount > 0) {
+    runtime::doAllBlocked(pool, ownLo, ownHi, [&](unsigned tid, std::uint64_t lo64,
+                                                  std::uint64_t hi64) {
+      auto& scratch = threadScratch_[tid];
+      for (int l = 0; l < graph::kNumLabels; ++l) {
+        auto& table = model_.table(static_cast<graph::Label>(l));
+        for (auto n = static_cast<std::uint32_t>(lo64); n < hi64; ++n) {
+          const std::uint32_t cnt = contribAt(l, n);
+          if (cnt == 0) continue;
+          auto a = accRow(l, n);
+          reducer_.finalize(a, cnt);
+          util::copyInto(table.baselineRow(n), scratch);
+          util::add(a, scratch);
+          util::copyInto(scratch, table.overwriteRow(n));
+        }
+      }
+    });
+  }
+  releaseRecvBufs();
+  const double applyW = t.seconds();
   phases.add(0, runtime::SyncPhase::kPack, packW);
   phases.add(0, runtime::SyncPhase::kFold, foldW);
   phases.add(0, runtime::SyncPhase::kApply, applyW);
@@ -529,153 +462,118 @@ void SyncEngine::doSyncParallel(const util::BitVector* willAccess) {
              std::max(0.0, reduceWall.seconds() - packW - foldW - applyW));
 
   // ---- Broadcast phase: ship canonical values to mirrors, apply
-  // row-parallel as chunks drain. ----
-  double bPackW = 0.0, bApplyW = 0.0;
+  // row-parallel. ----
   util::WallTimer bcastWall;
-  const auto packBcast = [&](unsigned c) {
-    util::WallTimer t;
-    const auto [cLo64, cHi64] = runtime::blockRange(numNodes, chunks, c);
-    const std::uint32_t rLo = std::max(ownLo, static_cast<std::uint32_t>(cLo64));
-    const std::uint32_t rHi = std::min(ownHi, static_cast<std::uint32_t>(cHi64));
-    const std::uint32_t len = rHi > rLo ? rHi - rLo : 0;
-    std::uint64_t sentBytes = 0;
-    tasks_.clear();
-    if (!naive && !pull) {
-      // Opt ships rows any host updated: materialize the per-label emit
-      // lists once per chunk (ascending, disjoint across chunks).
-      for (int l = 0; l < graph::kNumLabels; ++l) {
-        auto& list = emit_[l];
-        list.clear();
-        for (std::uint32_t n = rLo; n < rHi; ++n) {
-          if (contribAt(l, n) == 0) continue;
-          if (list.size() == list.capacity()) ++scratchGrowEvents_;
-          list.push_back(n);
-        }
+  t.reset();
+  tasks_.clear();
+  if (!naive && !pull) {
+    // Opt ships rows any host updated: materialize the per-label emit lists
+    // once (ascending).
+    for (int l = 0; l < graph::kNumLabels; ++l) {
+      auto& list = emit_[l];
+      list.clear();
+      for (std::uint32_t n = ownLo; n < ownHi; ++n) {
+        if (contribAt(l, n) == 0) continue;
+        if (list.size() == list.capacity()) ++scratchGrowEvents_;
+        list.push_back(n);
       }
     }
-    for (unsigned peer = 0; peer < numHosts; ++peer) {
-      if (peer == me) continue;
-      // Index domain per label: offsets into the implicit row range (Naive),
-      // this peer's pull list (Pull), or the emit list (Opt).
-      std::uint32_t domLo[graph::kNumLabels], domHi[graph::kNumLabels];
-      for (int l = 0; l < graph::kNumLabels; ++l) {
-        if (naive) {
-          domLo[l] = 0;
-          domHi[l] = len;
-        } else if (pull) {
-          const auto& wants = pullWants_[peer];
-          domLo[l] = static_cast<std::uint32_t>(
-              std::lower_bound(wants.begin(), wants.end(), rLo) - wants.begin());
-          domHi[l] = static_cast<std::uint32_t>(
-              std::lower_bound(wants.begin(), wants.end(), rHi) - wants.begin());
-        } else {
-          domLo[l] = 0;
-          domHi[l] = static_cast<std::uint32_t>(emit_[l].size());
-        }
-      }
-      std::size_t size = 0;
-      for (int l = 0; l < graph::kNumLabels; ++l) {
-        size += 4 + static_cast<std::size_t>(domHi[l] - domLo[l]) * entryBytes;
-      }
-      auto buf = acquireBuf(size);
-      std::size_t off = 0;
-      for (int l = 0; l < graph::kNumLabels; ++l) {
-        const std::uint32_t count = domHi[l] - domLo[l];
-        putU32(buf.data() + off, count);
-        off += 4;
-        for (unsigned b = 0; b < numThreads && count > 0; ++b) {
-          const auto [bl, bh] = runtime::blockRange(count, numThreads, b);
-          if (bh > bl) {
-            pushTask({peer, l, domLo[l] + static_cast<std::uint32_t>(bl),
-                      domLo[l] + static_cast<std::uint32_t>(bh),
-                      off + static_cast<std::size_t>(bl) * entryBytes});
-          }
-        }
-        off += static_cast<std::size_t>(count) * entryBytes;
-      }
-      assert(off == size);
-      sentBytes += size + sim::Network::kHeaderBytes;
-      sendBufs_[peer] = std::move(buf);
+  }
+  for (unsigned peer = 0; peer < numHosts; ++peer) {
+    if (peer == me) continue;
+    // Entries per label: the owned row range (Naive), this peer's pull list
+    // (Pull), or the emit list (Opt).
+    std::array<std::uint32_t, graph::kNumLabels> counts;
+    std::size_t size = 0;
+    for (int l = 0; l < graph::kNumLabels; ++l) {
+      counts[l] = naive  ? ownCount
+                  : pull ? static_cast<std::uint32_t>(pullWants_[peer].size())
+                         : static_cast<std::uint32_t>(emit_[l].size());
+      size += 4 + static_cast<std::size_t>(counts[l]) * entryBytes;
     }
-    runtime::doAllTid(
-        pool, 0, tasks_.size(),
-        [&](unsigned /*tid*/, std::uint64_t i) {
-          const PackTask& task = tasks_[i];
-          const auto label = static_cast<graph::Label>(task.label);
-          std::uint8_t* out = sendBufs_[task.peer].data() + task.byteOff;
-          const auto emitRow = [&](std::uint32_t n) {
-            putU32(out, n);
-            if (!lossy) {
-              std::memcpy(out + 4, model_.row(label, n).data(), entryBytes - 4);
-            } else {
-              // Canonical values are re-encoded fresh every round, so
-              // broadcast error is bounded (one quantization step), never
-              // accumulated — no residual on this path.
-              encodeRowValues(codec, model_.row(label, n), out + 4);
-            }
-            out += entryBytes;
-          };
-          if (naive) {
-            for (std::uint32_t idx = task.lo; idx < task.hi; ++idx) emitRow(rLo + idx);
-          } else if (pull) {
-            const auto& wants = pullWants_[task.peer];
-            for (std::uint32_t idx = task.lo; idx < task.hi; ++idx) emitRow(wants[idx]);
+    auto buf = acquireBuf(size);
+    std::size_t off = 0;
+    for (int l = 0; l < graph::kNumLabels; ++l) {
+      putU32(buf.data() + off, counts[l]);
+      off += 4;
+      for (unsigned b = 0; b < numThreads && counts[l] > 0; ++b) {
+        const auto [bl, bh] = runtime::blockRange(counts[l], numThreads, b);
+        if (bh > bl) {
+          pushTask({peer, l, static_cast<std::uint32_t>(bl), static_cast<std::uint32_t>(bh),
+                    off + static_cast<std::size_t>(bl) * entryBytes});
+        }
+      }
+      off += static_cast<std::size_t>(counts[l]) * entryBytes;
+    }
+    assert(off == size);
+    sendBufs_[peer] = std::move(buf);
+  }
+  runtime::doAllTid(
+      pool, 0, tasks_.size(),
+      [&](unsigned /*tid*/, std::uint64_t i) {
+        const PackTask& task = tasks_[i];
+        const auto label = static_cast<graph::Label>(task.label);
+        std::uint8_t* out = sendBufs_[task.peer].data() + task.byteOff;
+        const auto emitRow = [&](std::uint32_t n) {
+          putU32(out, n);
+          if (!lossy) {
+            std::memcpy(out + 4, model_.row(label, n).data(), entryBytes - 4);
           } else {
-            const auto& list = emit_[task.label];
-            for (std::uint32_t idx = task.lo; idx < task.hi; ++idx) emitRow(list[idx]);
+            // Canonical values are re-encoded fresh every round, so
+            // broadcast error is bounded (one quantization step), never
+            // accumulated — no residual on this path.
+            encodeRowValues(codec, model_.row(label, n), out + 4);
           }
-        },
-        {.chunkSize = 1});
-    chunkBytes_[c] = sentBytes;
-    chunkPack_[c] = t.seconds();
-    bPackW += chunkPack_[c];
-  };
-  const auto consumeBcast = [&](unsigned c) {
-    util::WallTimer t;
-    std::uint64_t recvBytes = 0;
-    tasks_.clear();
-    for (unsigned src = 0; src < numHosts; ++src) {
-      if (src == me) continue;
-      recvBytes += parseSegments(src);
-      for (int l = 0; l < graph::kNumLabels; ++l) {
-        const std::uint32_t count = segAt(src, l).count;
-        for (unsigned b = 0; b < numThreads && count > 0; ++b) {
-          const auto [bl, bh] = runtime::blockRange(count, numThreads, b);
-          if (bh > bl) {
-            pushTask({src, l, static_cast<std::uint32_t>(bl),
-                      static_cast<std::uint32_t>(bh), 0});
-          }
+          out += entryBytes;
+        };
+        if (naive) {
+          for (std::uint32_t idx = task.lo; idx < task.hi; ++idx) emitRow(ownLo + idx);
+        } else if (pull) {
+          const auto& wants = pullWants_[task.peer];
+          for (std::uint32_t idx = task.lo; idx < task.hi; ++idx) emitRow(wants[idx]);
+        } else {
+          const auto& list = emit_[task.label];
+          for (std::uint32_t idx = task.lo; idx < task.hi; ++idx) emitRow(list[idx]);
+        }
+      },
+      {.chunkSize = 1});
+  const double bPackW = t.seconds();
+  coll_.allToAllv(sendBufs_, recvBufs_, sim::CommPhase::kBroadcast);
+  t.reset();
+  tasks_.clear();
+  for (unsigned src = 0; src < numHosts; ++src) {
+    if (src == me) continue;
+    const auto [lo, hi] = partition_.masterRange(src);
+    parseSegments(src, lo, hi);
+    for (int l = 0; l < graph::kNumLabels; ++l) {
+      const std::uint32_t count = segAt(src, l).count;
+      for (unsigned b = 0; b < numThreads && count > 0; ++b) {
+        const auto [bl, bh] = runtime::blockRange(count, numThreads, b);
+        if (bh > bl) {
+          pushTask({src, l, static_cast<std::uint32_t>(bl), static_cast<std::uint32_t>(bh), 0});
         }
       }
     }
-    // Masters own disjoint row ranges, so applying all sources' entries in
-    // parallel writes disjoint rows.
-    runtime::doAllTid(
-        pool, 0, tasks_.size(),
-        [&](unsigned /*tid*/, std::uint64_t i) {
-          const PackTask& task = tasks_[i];
-          const auto label = static_cast<graph::Label>(task.label);
-          const SegDir& s = segAt(task.peer, task.label);
-          for (std::uint32_t j = task.lo; j < task.hi; ++j) {
-            if (!lossy) {
-              util::copyInto(entryValues(s, j, {}), model_.overwriteRow(label, rowAt(s, j)));
-            } else {
-              decodeRowValues(codec, valuesPtr(s, j), model_.overwriteRow(label, rowAt(s, j)));
-            }
+  }
+  // Masters own disjoint row ranges, so applying all sources' entries in
+  // parallel writes disjoint rows.
+  runtime::doAllTid(
+      pool, 0, tasks_.size(),
+      [&](unsigned /*tid*/, std::uint64_t i) {
+        const PackTask& task = tasks_[i];
+        const auto label = static_cast<graph::Label>(task.label);
+        const SegDir& s = segAt(task.peer, task.label);
+        for (std::uint32_t j = task.lo; j < task.hi; ++j) {
+          if (!lossy) {
+            util::copyInto(entryValues(s, j, {}), model_.overwriteRow(label, rowAt(s, j)));
+          } else {
+            decodeRowValues(codec, valuesPtr(s, j), model_.overwriteRow(label, rowAt(s, j)));
           }
-        },
-        {.chunkSize = 1});
-    for (unsigned src = 0; src < numHosts; ++src) {
-      if (src != me) releaseBuf(std::move(recvBufs_[src]));
-    }
-    chunkConsume_[c] = t.seconds();
-    bApplyW += chunkConsume_[c];
-    chunkTransfer_[c] =
-        netModel_.transferSeconds(chunkBytes_[c] + recvBytes, numHosts > 0 ? numHosts - 1 : 0);
-  };
-  coll_.allToAllvPipelined(chunks, sendBufs_, recvBufs_, packBcast, consumeBcast,
-                           sim::CommPhase::kBroadcast);
-  const double bcastPipelineCharge = chargePipelineSeconds();
+        }
+      },
+      {.chunkSize = 1});
+  releaseRecvBufs();
+  const double bApplyW = t.seconds();
   phases.add(0, runtime::SyncPhase::kPack, bPackW);
   phases.add(0, runtime::SyncPhase::kApply, bApplyW);
   phases.add(0, runtime::SyncPhase::kExchange,
@@ -687,295 +585,8 @@ void SyncEngine::doSyncParallel(const util::BitVector* willAccess) {
   model_.clearTouched();
   ++round_;
 
-  // Modelled communication time. With one chunk this is the historical
-  // whole-exchange alpha-beta charge; a pipelined round instead pays
-  // max(compute, transfer) per chunk, so overlap shows up in ClusterReport.
-  if (chunks == 1) {
-    const sim::CommSnapshot after = sim::snapshot(ctx_.commStats());
-    ctx_.addModelledCommSeconds(netModel_.exchangeSeconds(sim::delta(before, after)));
-  } else {
-    ctx_.addModelledCommSeconds(ctrlCharge + reducePipelineCharge + bcastPipelineCharge);
-  }
-
-  // BSP rounds end at a barrier: nobody computes ahead of stragglers.
-  coll_.barrier();
-}
-
-// Single-threaded reference implementation: the historical one-shot
-// protocol, kept verbatim (fresh buffers each round) as the oracle the fuzz
-// tests cross-check the parallel path against bit-for-bit.
-void SyncEngine::doSyncSerial(const util::BitVector* willAccess) {
-  const unsigned numHosts = ctx_.numHosts();
-  const sim::HostId me = ctx_.id();
-  const std::uint32_t dim = model_.dim();
-  const bool naive = strategy_ == SyncStrategy::kRepModelNaive;
-  const bool pull = strategy_ == SyncStrategy::kPullModel;
-  runtime::PhaseStats& phases = ctx_.syncPhases();
-  const SyncCodec codec = syncOpts_.codec;
-  const bool lossy = codec != SyncCodec::kFp32;
-  const bool ef = lossy && syncOpts_.errorFeedback;
-  const std::size_t valueBytes = codecValueBytes(codec, dim);
-  std::vector<std::uint8_t> enc(valueBytes);  // one encoded row
-  std::vector<float> dec(dim);                // one decoded row
-
-  const sim::CommSnapshot before = sim::snapshot(ctx_.commStats());
-  double packW = 0.0, exchangeW = 0.0, foldW = 0.0, applyW = 0.0;
-  util::WallTimer timer;
-  const auto lap = [&](double& bucket) {
-    bucket += timer.seconds();
-    timer.reset();
-  };
-
-  // ---- PullModel inspection exchange: tell each master which of its nodes
-  // this host will access next round. -----------------------------------
-  std::vector<std::vector<std::uint8_t>> ctrlIn;
-  if (pull && numHosts > 1) {
-    std::vector<std::vector<std::uint8_t>> ctrlOut(numHosts);
-    for (unsigned peer = 0; peer < numHosts; ++peer) {
-      if (peer == me) continue;
-      ByteWriter w;
-      std::uint32_t count = 0;
-      const auto [lo, hi] = partition_.masterRange(peer);
-      if (willAccess != nullptr) {
-        for (std::uint32_t n = lo; n < hi; ++n) count += willAccess->test(n) ? 1 : 0;
-      } else {
-        count = hi - lo;
-      }
-      w.put(count);
-      if (willAccess != nullptr) {
-        for (std::uint32_t n = lo; n < hi; ++n) {
-          if (willAccess->test(n)) w.put(n);
-        }
-      } else {
-        for (std::uint32_t n = lo; n < hi; ++n) w.put(n);
-      }
-      ctrlOut[peer] = w.take();
-    }
-    lap(packW);
-    ctrlIn = coll_.allToAllv(std::move(ctrlOut), sim::CommPhase::kControl);
-    lap(exchangeW);
-  }
-
-  // ---- Reduce phase: ship touched (or all, for Naive) mirror deltas to
-  // masters. -------------------------------------------------------------
-  const auto [ownLo, ownHi] = partition_.masterRange(me);
-  std::vector<float> delta(dim);
-  std::vector<std::vector<std::uint8_t>> reduceOut(numHosts);
-  for (unsigned peer = 0; peer < numHosts; ++peer) {
-    if (peer == me) continue;
-    const auto [lo, hi] = partition_.masterRange(peer);
-    ByteWriter w;
-    // Same per-entry codec + error-feedback arithmetic as the parallel pack
-    // workers, so serial wire bytes stay the oracle at every codec.
-    const auto putDelta = [&](int l, std::uint32_t n) {
-      w.put(n);
-      if (!lossy) {
-        w.putSpan(std::span<const float>(delta));
-        return;
-      }
-      if (ef) util::add(residual_[l].row(n), delta);
-      encodeRowValues(codec, delta, enc.data());
-      if (ef) {
-        decodeRowValues(codec, enc.data(), dec);
-        util::sub(delta, dec, residual_[l].untrackedRow(n));
-      }
-      w.putSpan(std::span<const std::uint8_t>(enc));
-    };
-    for (int l = 0; l < graph::kNumLabels; ++l) {
-      const auto& table = model_.table(static_cast<graph::Label>(l));
-      if (naive) {
-        w.put(hi - lo);
-        for (std::uint32_t n = lo; n < hi; ++n) {
-          // Clean rows subtract against themselves and ship exact zeros —
-          // the Naive strategy's pay-for-everything byte count.
-          util::sub(table.row(n), table.baselineRow(n), delta);
-          putDelta(l, n);
-        }
-      } else {
-        w.put(static_cast<std::uint32_t>(table.dirty().countInRange(lo, hi)));
-        table.forEachDeltaInRange(
-            lo, hi,
-            [&](std::uint32_t n, std::span<const float> oldRow, std::span<const float> cur) {
-              util::sub(cur, oldRow, delta);
-              putDelta(l, n);
-            });
-      }
-    }
-    reduceOut[peer] = w.take();
-  }
-  lap(packW);
-  const std::vector<std::vector<std::uint8_t>> reduceIn =
-      coll_.allToAllv(std::move(reduceOut), sim::CommPhase::kReduce);
-  lap(exchangeW);
-
-  // ---- Master-side accumulation over contributions in host-id order. ----
-  const std::uint32_t ownCount = ownHi - ownLo;
-  std::vector<float> acc(static_cast<std::size_t>(ownCount) * dim * graph::kNumLabels, 0.0f);
-  std::vector<std::uint32_t> contributions(static_cast<std::size_t>(ownCount) * graph::kNumLabels,
-                                           0);
-  const auto accRow = [&](int l, std::uint32_t n) -> std::span<float> {
-    const std::size_t idx =
-        (static_cast<std::size_t>(l) * ownCount + (n - ownLo)) * dim;
-    return {acc.data() + idx, dim};
-  };
-  const auto contribAt = [&](int l, std::uint32_t n) -> std::uint32_t& {
-    return contributions[static_cast<std::size_t>(l) * ownCount + (n - ownLo)];
-  };
-  const auto foldContribution = [&](int l, std::uint32_t n, std::span<const float> delta) {
-    if (isZero(delta)) return;  // untouched mirror in a Naive round, or a no-op update
-    auto a = accRow(l, n);
-    if (contribAt(l, n) == 0) {
-      util::copyInto(delta, a);
-    } else {
-      reducer_.accumulate(a, delta);
-    }
-    ++contribAt(l, n);
-  };
-
-  // The exchange drained in arrival order; fold in host-id order so the
-  // combined step is deterministic regardless of scheduling.
-  std::vector<float> scratch(dim);
-  for (unsigned src = 0; src < numHosts; ++src) {
-    if (src == me) {
-      for (int l = 0; l < graph::kNumLabels; ++l) {
-        const auto& table = model_.table(static_cast<graph::Label>(l));
-        if (naive) {
-          for (std::uint32_t n = ownLo; n < ownHi; ++n) {
-            util::sub(table.row(n), table.baselineRow(n), scratch);
-            foldContribution(l, n, scratch);
-          }
-        } else {
-          table.forEachDeltaInRange(
-              ownLo, ownHi,
-              [&](std::uint32_t n, std::span<const float> oldRow, std::span<const float> cur) {
-                util::sub(cur, oldRow, scratch);
-                foldContribution(l, n, scratch);
-              });
-        }
-      }
-      continue;
-    }
-    ByteReader r(reduceIn[src]);
-    for (int l = 0; l < graph::kNumLabels; ++l) {
-      const std::uint32_t count = r.get<std::uint32_t>();
-      for (std::uint32_t i = 0; i < count; ++i) {
-        const std::uint32_t n = r.get<std::uint32_t>();
-        if (!lossy) {
-          foldContribution(l, n, r.view<float>(dim));
-        } else {
-          decodeRowValues(codec, r.view<std::uint8_t>(valueBytes).data(), dec);
-          foldContribution(l, n, dec);
-        }
-      }
-    }
-  }
-  lap(foldW);
-
-  // Apply combined steps to canonical values. The baseline must be copied
-  // out before the overwrite: for rows no thread captured, it aliases the
-  // row itself.
-  for (int l = 0; l < graph::kNumLabels; ++l) {
-    auto& table = model_.table(static_cast<graph::Label>(l));
-    for (std::uint32_t n = ownLo; n < ownHi; ++n) {
-      const std::uint32_t c = contribAt(l, n);
-      if (c == 0) continue;
-      auto a = accRow(l, n);
-      reducer_.finalize(a, c);
-      util::copyInto(table.baselineRow(n), scratch);
-      util::add(a, scratch);
-      util::copyInto(scratch, table.overwriteRow(n));
-    }
-  }
-  lap(applyW);
-
-  // ---- Parse PullModel recipient lists gathered during the control
-  // exchange. --------------------------------------------------------------
-  std::vector<std::vector<std::uint32_t>> pullWants;  // per peer: owned nodes it reads
-  if (pull && numHosts > 1) {
-    pullWants.resize(numHosts);
-    for (unsigned peer = 0; peer < numHosts; ++peer) {
-      if (peer == me) continue;
-      ByteReader r(ctrlIn[peer]);
-      const std::uint32_t count = r.get<std::uint32_t>();
-      pullWants[peer].reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) pullWants[peer].push_back(r.get<std::uint32_t>());
-    }
-  }
-
-  // ---- Broadcast phase: ship canonical values to mirrors. ----------------
-  std::vector<std::vector<std::uint8_t>> bcastOut(numHosts);
-  for (unsigned peer = 0; peer < numHosts; ++peer) {
-    if (peer == me) continue;
-    ByteWriter w;
-    const auto emit = [&](int l, std::uint32_t n) {
-      w.put(n);
-      const auto row = model_.row(static_cast<graph::Label>(l), n);
-      if (!lossy) {
-        w.putSpan(std::span<const float>(row));
-      } else {
-        encodeRowValues(codec, row, enc.data());
-        w.putSpan(std::span<const std::uint8_t>(enc));
-      }
-    };
-    for (int l = 0; l < graph::kNumLabels; ++l) {
-      std::uint32_t count = 0;
-      if (naive) {
-        count = ownCount;
-      } else if (pull) {
-        count = static_cast<std::uint32_t>(pullWants[peer].size());
-      } else {
-        for (std::uint32_t n = ownLo; n < ownHi; ++n) count += contribAt(l, n) > 0 ? 1 : 0;
-      }
-      w.put(count);
-      if (naive) {
-        for (std::uint32_t n = ownLo; n < ownHi; ++n) emit(l, n);
-      } else if (pull) {
-        for (const std::uint32_t n : pullWants[peer]) emit(l, n);
-      } else {
-        for (std::uint32_t n = ownLo; n < ownHi; ++n) {
-          if (contribAt(l, n) > 0) emit(l, n);
-        }
-      }
-    }
-    bcastOut[peer] = w.take();
-  }
-  lap(packW);
-
-  // ---- Exchange broadcasts and overwrite mirrors. ------------------------
-  // No explicit rebasing anywhere: clearTouched() below declares the
-  // post-round model the baseline, which covers broadcast-overwritten
-  // mirrors, masters, and the locally-touched mirrors a PullModel round
-  // never refreshes (their baseline becomes what they hold) alike.
-  const std::vector<std::vector<std::uint8_t>> bcastIn =
-      coll_.allToAllv(std::move(bcastOut), sim::CommPhase::kBroadcast);
-  lap(exchangeW);
-  for (unsigned src = 0; src < numHosts; ++src) {
-    if (src == me) continue;
-    ByteReader r(bcastIn[src]);
-    for (int l = 0; l < graph::kNumLabels; ++l) {
-      const auto label = static_cast<graph::Label>(l);
-      const std::uint32_t count = r.get<std::uint32_t>();
-      for (std::uint32_t i = 0; i < count; ++i) {
-        const std::uint32_t n = r.get<std::uint32_t>();
-        if (!lossy) {
-          util::copyInto(r.view<float>(dim), model_.overwriteRow(label, n));
-        } else {
-          decodeRowValues(codec, r.view<std::uint8_t>(valueBytes).data(),
-                          model_.overwriteRow(label, n));
-        }
-      }
-    }
-  }
-  lap(applyW);
-
-  model_.clearTouched();
-  ++round_;
-  phases.add(0, runtime::SyncPhase::kPack, packW);
-  phases.add(0, runtime::SyncPhase::kExchange, exchangeW);
-  phases.add(0, runtime::SyncPhase::kFold, foldW);
-  phases.add(0, runtime::SyncPhase::kApply, applyW);
-
-  // Modelled communication time for this host's share of the exchange.
+  // Modelled communication time for this host's share of the round's
+  // exchanges (control, reduce and broadcast).
   const sim::CommSnapshot after = sim::snapshot(ctx_.commStats());
   ctx_.addModelledCommSeconds(netModel_.exchangeSeconds(sim::delta(before, after)));
 

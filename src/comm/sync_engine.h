@@ -34,12 +34,15 @@
 // host's worker pool: packing partitions each destination's row range over
 // threads and serializes into pre-computed offsets, folding partitions the
 // owned rows over threads while walking sources in host-id order per row,
-// and both applies are row-parallel — so results stay bit-identical to the
-// single-threaded reference (SyncOptions::serial) at any thread count.
-// SyncOptions::pipelineChunks > 1 additionally slices both exchanges into
-// row-range chunks double-buffered through Collectives::allToAllvPipelined
-// (chunk c+1 packs while chunk c is in flight and folding). DESIGN.md §5f
-// has the determinism argument.
+// and both applies are row-parallel — so results are bit-identical at any
+// thread count. Each exchange is one Collectives::allToAllv. The reference
+// the engine is checked against is a sequential model of a round in
+// tests/comm_sync_fuzz_test.cpp; DESIGN.md §5f has the determinism argument.
+//
+// Payloads come from peers, so parsing trusts nothing: a size that
+// disagrees with its counts, or a row id outside the range the sender may
+// ship or out of ascending order, throws std::runtime_error on the host
+// thread before any worker reads the payload.
 
 #include <array>
 #include <cstdint>
@@ -54,7 +57,6 @@
 #include "graph/partition.h"
 #include "model/embedding_table.h"
 #include "sim/cluster.h"
-#include "sim/network.h"
 #include "sim/network_model.h"
 #include "util/bitvector.h"
 
@@ -65,15 +67,6 @@ enum class SyncStrategy : int { kRepModelNaive = 0, kRepModelOpt = 1, kPullModel
 const char* syncStrategyName(SyncStrategy s) noexcept;
 
 struct SyncOptions {
-  /// Row-range chunks each exchange (reduce and broadcast) is split into.
-  /// 1 = one-shot exchange, byte-identical to the historical protocol (the
-  /// golden files lock this). K > 1 pipelines chunks through the fabric;
-  /// extra per-chunk count headers and message framing change byte counts,
-  /// never model bits.
-  unsigned pipelineChunks = 1;
-  /// Run the single-threaded reference path regardless of pool size. The
-  /// fuzz tests cross-check the parallel path against it bit-for-bit.
-  bool serial = false;
   /// Wire codec for reduce deltas and broadcast values (comm/codec.h).
   /// kFp32 is byte-identical to the historical protocol (goldens lock it);
   /// fp16/int8 shrink every value entry ∝ the codec width and are folded
@@ -110,37 +103,11 @@ class SyncEngine {
   /// Forgets pending captures in O(dirty set) — no model copies.
   void rebaseline();
 
-  const SyncOptions& syncOptions() const noexcept { return syncOpts_; }
-
-  SyncCodec codec() const noexcept { return syncOpts_.codec; }
-
-  /// Switch the wire codec (and error-feedback arm) mid-stream. Residuals
-  /// are zeroed when the codec actually changes — stale fp16 error is
-  /// meaningless to int8 — and kept when it doesn't. All hosts must switch
-  /// at the same round boundary (SPMD).
-  void setCodec(SyncCodec codec, bool errorFeedback = true);
-
-  /// Pending quantization error for a mirror row (zeros under fp32, with
-  /// error feedback off, or for rows this host masters; empty before any
-  /// lossy round allocated the residuals). Test hook.
+  /// Pending quantization error for a mirror row (zeros with error feedback
+  /// off or for rows this host masters; empty under fp32). Test hook.
   std::span<const float> residualRow(graph::Label label, std::uint32_t n) const noexcept {
     const auto& t = residual_[static_cast<int>(label)];
     return n < t.numRows() ? t.row(n) : std::span<const float>{};
-  }
-
-  /// Extra bytes ONE host pays per exchange phase for each pipeline chunk
-  /// past the first: the per-label count headers re-shipped in every chunk
-  /// plus fabric framing, on each of its numHosts-1 messages. Entry bytes are
-  /// invariant across chunkings (chunks partition row ranges), so
-  /// totalBytes(K) - totalBytes(1) over a run is exactly
-  /// rounds × phases × hosts × (K-1) × perChunkOverheadBytes(hosts) — the
-  /// regression tests hold the accounting to that identity.
-  static constexpr std::uint64_t perChunkOverheadBytes(unsigned numHosts) noexcept {
-    return numHosts <= 1
-               ? 0
-               : static_cast<std::uint64_t>(numHosts - 1) *
-                     (static_cast<std::uint64_t>(graph::kNumLabels) * 4 +
-                      sim::Network::kHeaderBytes);
   }
 
   /// Times any engine-owned scratch (send buffers, fold accumulators, task
@@ -162,8 +129,6 @@ class SyncEngine {
   };
 
   void doSync(const util::BitVector* willAccess);
-  void doSyncSerial(const util::BitVector* willAccess);
-  void doSyncParallel(const util::BitVector* willAccess);
 
   std::vector<std::uint8_t> acquireBuf(std::size_t bytes);
   void releaseBuf(std::vector<std::uint8_t>&& b);
@@ -174,11 +139,6 @@ class SyncEngine {
   }
 
   void exchangeWillAccess(const util::BitVector* willAccess);
-  double chargePipelineSeconds() const noexcept;
-
-  /// Allocate (or zero, if `reset`) the per-label residual tables for lossy
-  /// codecs. No-op under fp32 unless resetting already-allocated tables.
-  void ensureResiduals(bool reset);
 
   sim::HostContext& ctx_;
   SimTransport transport_;
@@ -209,16 +169,13 @@ class SyncEngine {
   // error still owed for each mirror row. Written only through untrackedRow
   // (no dirty tracking — residuals are sync-engine state, not model state)
   // and deliberately NOT touched by rebaseline(): a rebaseline redefines the
-  // delta origin, but unshipped error stays owed. Zeroed only when the codec
-  // switches. Rows this host masters stay zero (their contributions fold
-  // locally at full precision).
+  // delta origin, but unshipped error stays owed. Rows this host masters stay
+  // zero (their contributions fold locally at full precision).
   std::array<model::EmbeddingTable, graph::kNumLabels> residual_;
   std::vector<PackTask> tasks_;
   std::vector<SegDir> segDirs_;              // numHosts × kNumLabels
   std::vector<std::vector<std::uint32_t>> pullWants_;
   std::array<std::vector<std::uint32_t>, graph::kNumLabels> emit_;  // bcast rows per label
-  std::vector<double> chunkPack_, chunkConsume_, chunkTransfer_;    // per-chunk pipeline costs
-  std::vector<std::uint64_t> chunkBytes_;    // bytes this host sent for the chunk (w/ framing)
 };
 
 }  // namespace gw2v::comm

@@ -63,11 +63,9 @@ struct TrainOptions {
   /// Learning-rate floor as a fraction of the initial rate (word2vec.c: 1e-4).
   float minAlphaFraction = 1e-4f;
   sim::NetworkModel netModel{};
-  /// Sync-round execution knobs: pipelined chunking, the serial reference
-  /// path, and the wire codec (sync.codec = fp32/fp16/int8 with
-  /// sync.errorFeedback residual compensation). The parallel path always
-  /// matches the serial one bit-for-bit at any codec; only fp32 is
-  /// byte-exact with the historical goldens.
+  /// Sync wire codec (sync.codec = fp32/fp16/int8) and its error-feedback
+  /// residual compensation (sync.errorFeedback). Only fp32 is byte-exact
+  /// with the historical goldens.
   comm::SyncOptions sync{};
   /// Resume from this model instead of random initialization (e.g. a
   /// graph::loadCheckpoint result). Must match vocabulary size and sgns.dim;

@@ -12,9 +12,9 @@
 //
 // Reads are pinned to deterministic commit levels (see ps/server_core.h), so
 // a seeded run is bit-identical across reruns for any staleness bound; s = 0
-// reproduces BSP exactly. trainPsReference() runs the identical protocol on a
-// serial in-process schedule — live == reference bit-equality is the replay
-// test.
+// reproduces BSP exactly. The tests replay the identical protocol on a
+// serial in-process schedule (tests/ps_reference.h) — live == reference
+// bit-equality is the replay test.
 
 #include <cstdint>
 #include <span>
@@ -80,11 +80,5 @@ struct PsResult {
 /// Live run on the simulated cluster (one thread per rank, real messages).
 PsResult trainAsyncPs(const text::Vocabulary& vocab, std::span<const text::WordId> corpus,
                       const PsTrainOptions& opts);
-
-/// Serial in-process oracle: drives the same ServerCore/ClientCore through
-/// the deterministic lockstep schedule. Model bits, loss, and examples are
-/// bit-identical to trainAsyncPs; modelled time is not computed.
-PsResult trainPsReference(const text::Vocabulary& vocab, std::span<const text::WordId> corpus,
-                          const PsTrainOptions& opts);
 
 }  // namespace gw2v::ps

@@ -3,7 +3,8 @@
 // Shared worker-side round machinery for the async parameter server.
 //
 // Both drivers — the live simulated cluster (trainer.cpp) and the serial
-// reference schedule (reference.cpp) — run exactly this per-round sequence:
+// reference schedule the tests run (tests/ps_reference.cpp) — run exactly
+// this per-round sequence:
 //
 //   inspect       replay the round's SGNS edge stream with the compute RNG to
 //                 predict the access set (the PullModel trick: the RNG is

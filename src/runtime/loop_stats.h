@@ -54,8 +54,7 @@ inline const char* syncPhaseName(SyncPhase p) noexcept {
 }
 
 /// Reduced per-phase wall seconds; `exchange` is time blocked draining the
-/// fabric (in a pipelined round that wait is whatever the overlapped pack and
-/// fold did not hide).
+/// fabric.
 struct SyncPhaseSeconds {
   double pack = 0.0;
   double exchange = 0.0;

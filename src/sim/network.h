@@ -14,10 +14,8 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <mutex>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -55,26 +53,6 @@ class Network {
   /// sender. Used by the parameter-server baseline's asynchronous pushes.
   std::pair<HostId, std::vector<std::uint8_t>> recvAny(HostId dst, int tag,
                                                        CommPhase phase = CommPhase::kOther);
-
-  /// Typed convenience wrappers (trivially-copyable payload elements).
-  template <typename T>
-  void sendVector(HostId src, HostId dst, int tag, std::span<const T> data,
-                  CommPhase phase = CommPhase::kOther) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<std::uint8_t> bytes(data.size_bytes());
-    if (!bytes.empty()) std::memcpy(bytes.data(), data.data(), bytes.size());
-    send(src, dst, tag, std::move(bytes), phase);
-  }
-
-  template <typename T>
-  std::vector<T> recvVector(HostId dst, HostId src, int tag,
-                            CommPhase phase = CommPhase::kOther) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<std::uint8_t> bytes = recv(dst, src, tag, phase);
-    std::vector<T> out(bytes.size() / sizeof(T));
-    if (!out.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
-    return out;
-  }
 
   /// Global barrier across all hosts.
   void barrier(HostId host);

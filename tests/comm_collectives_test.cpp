@@ -167,13 +167,12 @@ TEST(Collectives, AllGathervDeliversEveryBlockEverywhere) {
 TEST(Collectives, AllToAllvExchangesPersonalizedPayloads) {
   for (const unsigned H : kHostCounts) {
     runRanks(H, [&](RankId me, Collectives& coll) {
-      std::vector<std::vector<std::uint8_t>> toPeer(H);
+      std::vector<std::vector<std::uint8_t>> toPeer(H), from(H);
       for (unsigned p = 0; p < H; ++p) {
         // me -> p carries me*16+p, repeated (p+1) times.
         toPeer[p].assign(p + 1, static_cast<std::uint8_t>(me * 16 + p));
       }
-      const auto from = coll.allToAllv(std::move(toPeer), sim::CommPhase::kReduce);
-      ASSERT_EQ(from.size(), H);
+      coll.allToAllv(toPeer, from, sim::CommPhase::kReduce);
       ASSERT_TRUE(from[me].empty());
       for (unsigned src = 0; src < H; ++src) {
         if (src == me) continue;
@@ -187,10 +186,32 @@ TEST(Collectives, AllToAllvExchangesPersonalizedPayloads) {
 TEST(Collectives, AllToAllvRejectsWrongSlotCount) {
   runRanks(2, [](RankId me, Collectives& coll) {
     if (me == 0) {
-      EXPECT_THROW(coll.allToAllv(std::vector<std::vector<std::uint8_t>>(3)),
-                   std::invalid_argument);
+      std::vector<std::vector<std::uint8_t>> three(3), two(2);
+      EXPECT_THROW(coll.allToAllv(three, two), std::invalid_argument);
+      EXPECT_THROW(coll.allToAllv(two, three), std::invalid_argument);
     }
     coll.barrier();
+  });
+}
+
+TEST(Collectives, AllToAllvRecyclesCallerSlots) {
+  // Caller-owned slots: sends move the payloads out, receives fill the
+  // source slots in place, so the same slot vectors serve back-to-back
+  // exchanges without mixing rounds.
+  runRanks(4, [](RankId me, Collectives& coll) {
+    std::vector<std::vector<std::uint8_t>> toPeer(4), from(4);
+    for (std::uint8_t round = 0; round < 3; ++round) {
+      for (unsigned p = 0; p < 4; ++p) {
+        toPeer[p].assign(2, static_cast<std::uint8_t>(round * 16 + me));
+      }
+      coll.allToAllv(toPeer, from);
+      for (unsigned src = 0; src < 4; ++src) {
+        if (src == me) continue;
+        const auto want = static_cast<std::uint8_t>(round * 16 + src);
+        ASSERT_EQ(from[src], std::vector<std::uint8_t>(2, want));
+      }
+    }
+    ASSERT_EQ(coll.opsIssued(), 3u);
   });
 }
 
@@ -284,8 +305,9 @@ TEST(Collectives, SingleRankEverythingIsANoop) {
     ASSERT_EQ(g[0].size(), 3u);
     const auto ag = coll.allGatherv({9});
     ASSERT_EQ(ag.size(), 1u);
-    const auto a2a = coll.allToAllv(std::vector<std::vector<std::uint8_t>>(1));
-    ASSERT_EQ(a2a.size(), 1u);
+    std::vector<std::vector<std::uint8_t>> toSelf{{7}}, fromSelf(1);
+    coll.allToAllv(toSelf, fromSelf);
+    ASSERT_TRUE(fromSelf[0].empty());
   });
 }
 

@@ -2,10 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <limits>
-#include <utility>
 #include <vector>
 
 #include "sim/cluster.h"
@@ -133,134 +131,6 @@ TEST(ScalarSync, WorseValuesDoNotOverwrite) {
   // idempotent-reduction contract: stale-but-worse mirrors are harmless
   // because any *use* of the label re-touches and re-syncs it.
   EXPECT_FLOAT_EQ(replicas[1][0], 3.0f);
-}
-
-/// One seeded small-integer relaxation round under `codec`; returns the
-/// final replicas and total wire bytes.
-std::pair<std::vector<std::vector<float>>, std::uint64_t> runCodecRound(SyncCodec codec) {
-  constexpr unsigned kHosts = 4;
-  constexpr std::uint32_t kNodes = 16;
-  std::vector<std::vector<float>> replicas(kHosts, std::vector<float>(kNodes, kInf));
-  graph::BlockedPartition partition(kNodes, kHosts);
-  sim::ClusterOptions copts;
-  copts.numHosts = kHosts;
-  const auto report = sim::runCluster(copts, [&](sim::HostContext& ctx) {
-    util::BitVector touched(kNodes);
-    ScalarSyncEngine engine(ctx, replicas[ctx.id()], touched, partition,
-                            ScalarReduceOp::kMin, {}, codec);
-    for (std::uint32_t n = 0; n < kNodes; ++n) {
-      if (n % kHosts != ctx.id()) continue;
-      replicas[ctx.id()][n] = static_cast<float>((n * 7 + ctx.id()) % 1000);
-      touched.set(n);
-    }
-    engine.sync();
-  });
-  return {replicas, report.totalBytes()};
-}
-
-TEST(ScalarSync, Fp16CodecExactForSmallIntegerLabels) {
-  // BFS/CC-style labels are small integers, all exactly representable in
-  // fp16 — the compressed sync must converge to the same values as fp32
-  // while moving fewer bytes.
-  const auto [fp32Replicas, fp32Bytes] = runCodecRound(SyncCodec::kFp32);
-  const auto [fp16Replicas, fp16Bytes] = runCodecRound(SyncCodec::kFp16);
-  for (unsigned h = 0; h < fp32Replicas.size(); ++h) {
-    for (std::uint32_t n = 0; n < fp32Replicas[h].size(); ++n) {
-      EXPECT_EQ(fp16Replicas[h][n], fp32Replicas[h][n]) << "host " << h << " node " << n;
-    }
-  }
-  EXPECT_LT(fp16Bytes, fp32Bytes);
-}
-
-TEST(ScalarSync, Int8CodecMatchesFp32Labels) {
-  // int8's one-value scale makes a single label round-trip through
-  // q = +/-127 * (|v|/127), which is exact for these integer labels; the
-  // label arrays must match fp32 bit for bit. The wire is *larger* than
-  // fp32 (4-byte scale + 1 byte per value) — supported for codec parity,
-  // not as a compression win; the byte assertion pins that honestly.
-  const auto [fp32Replicas, fp32Bytes] = runCodecRound(SyncCodec::kFp32);
-  const auto [int8Replicas, int8Bytes] = runCodecRound(SyncCodec::kInt8);
-  for (unsigned h = 0; h < fp32Replicas.size(); ++h) {
-    for (std::uint32_t n = 0; n < fp32Replicas[h].size(); ++n) {
-      EXPECT_EQ(int8Replicas[h][n], fp32Replicas[h][n]) << "host " << h << " node " << n;
-    }
-  }
-  EXPECT_GT(int8Bytes, fp32Bytes);
-}
-
-TEST(ScalarSync, ScalarWireMatchesRowCodecOnOneValueRows) {
-  // The scalar engine routes values through the same codec.h helpers the row
-  // engines use, on one-value "rows" — so the engine-level guarantees above
-  // reduce to this helper-level contract at every codec.
-  const float samples[] = {0.0f, 1.0f, -3.0f, 7.0f, 1000.0f, 0.3333f, -0.125f};
-  for (const SyncCodec codec : {SyncCodec::kFp32, SyncCodec::kFp16, SyncCodec::kInt8}) {
-    for (const float v : samples) {
-      alignas(4) std::uint8_t enc[16];
-      float dec = kInf;
-      encodeRowValues(codec, std::span<const float>(&v, 1), enc);
-      decodeRowValues(codec, enc, std::span<float>(&dec, 1));
-      if (codec == SyncCodec::kInt8) {
-        // One-value int8: q = +/-127 exactly, so error is fp-rounding only.
-        EXPECT_NEAR(dec, v, std::abs(v) * 1e-6f) << "v=" << v;
-      } else if (codec == SyncCodec::kFp16) {
-        EXPECT_NEAR(dec, v, std::abs(v) * 1e-3f + 1e-6f) << "v=" << v;
-      } else {
-        EXPECT_EQ(dec, v);
-      }
-    }
-  }
-}
-
-TEST(ScalarSync, LossyCodecsKeepResidualState) {
-  // Integer labels round-trip exactly under both lossy codecs, so the banked
-  // residuals must be zero; a non-representable fp16 value must bank its
-  // quantization error instead of dropping it.
-  std::vector<float> values = {1.0f, 2.0f, 3.0f, 4.0f};
-  graph::BlockedPartition partition(4, 1);
-  sim::ClusterOptions copts;
-  copts.numHosts = 1;
-  sim::runCluster(copts, [&](sim::HostContext& ctx) {
-    util::BitVector touched(4);
-    for (const SyncCodec codec : {SyncCodec::kFp16, SyncCodec::kInt8}) {
-      ScalarSyncEngine engine(ctx, values, touched, partition, ScalarReduceOp::kMin, {},
-                              codec);
-      ASSERT_EQ(engine.residuals().size(), 4u);
-      for (const float r : engine.residuals()) EXPECT_EQ(r, 0.0f);
-      // fp32 (or errorFeedback=false) keeps no bank at all.
-      ScalarSyncEngine plain(ctx, values, touched, partition, ScalarReduceOp::kMin, {},
-                             SyncCodec::kFp32);
-      EXPECT_TRUE(plain.residuals().empty());
-      ScalarSyncEngine noEf(ctx, values, touched, partition, ScalarReduceOp::kMin, {},
-                            codec, /*errorFeedback=*/false);
-      EXPECT_TRUE(noEf.residuals().empty());
-    }
-  });
-  // Two hosts, fp16, a value with no exact fp16 representation: after one
-  // sync the sender's residual for that node is the (nonzero) fp16 error.
-  constexpr float kAwkward = 0.1f;  // not a binary16 number
-  std::vector<std::vector<float>> replicas(2, std::vector<float>(2, kInf));
-  graph::BlockedPartition twoPart(2, 2);
-  std::vector<float> residual0(2, 0.0f);
-  sim::ClusterOptions copts2;
-  copts2.numHosts = 2;
-  sim::runCluster(copts2, [&](sim::HostContext& ctx) {
-    util::BitVector touched(2);
-    ScalarSyncEngine engine(ctx, replicas[ctx.id()], touched, twoPart,
-                            ScalarReduceOp::kMin, {}, SyncCodec::kFp16);
-    if (ctx.id() == 0) {
-      replicas[0][1] = kAwkward;  // node 1 is mastered by host 1
-      touched.set(1);
-    }
-    engine.sync();
-    if (ctx.id() == 0) {
-      residual0.assign(engine.residuals().begin(), engine.residuals().end());
-    }
-  });
-  EXPECT_NE(residual0[1], 0.0f);
-  EXPECT_LT(std::abs(residual0[1]), 1e-3f);
-  // The receiver holds the decoded fp16 value, close to but not equal to it.
-  EXPECT_NE(replicas[1][1], kInf);
-  EXPECT_NEAR(replicas[1][1], kAwkward, 1e-3f);
 }
 
 TEST(ScalarSync, MultipleRoundsConverge) {

@@ -1,9 +1,9 @@
 // Sync-codec behaviour at the engine level: fp32 is byte- and bit-identical
 // to the historical default; fp16/int8 shrink wire volume in proportion to
 // the codec width; lossy codecs keep per-row error-feedback residuals that
-// survive rebaseline(), zero on codec switches, stay zero with feedback off
-// and for rows a host masters; and error feedback recovers updates that
-// int8 quantization alone would drop forever.
+// survive rebaseline(), stay zero with feedback off and for rows a host
+// masters; and error feedback recovers updates that int8 quantization alone
+// would drop forever.
 
 #include <gtest/gtest.h>
 
@@ -170,7 +170,7 @@ float maxAbsOf(std::span<const float> v) {
   return m;
 }
 
-TEST(SyncCodec, ResidualSurvivesRebaselineAndZeroesOnCodecSwitch) {
+TEST(SyncCodec, ResidualSurvivesRebaseline) {
   SyncOptions sopts;
   sopts.codec = SyncCodec::kInt8;
   runResidualProbe(sopts, [](SyncEngine& engine, unsigned host, std::uint32_t ownRow) {
@@ -185,11 +185,6 @@ TEST(SyncCodec, ResidualSurvivesRebaselineAndZeroesOnCodecSwitch) {
     engine.rebaseline();
     const auto after = engine.residualRow(Label::kEmbedding, 0);
     EXPECT_TRUE(std::equal(snapshot.begin(), snapshot.end(), after.begin(), after.end()));
-    // Same codec: residuals kept. Different codec: stale error is dropped.
-    engine.setCodec(SyncCodec::kInt8);
-    EXPECT_GT(maxAbsOf(engine.residualRow(Label::kEmbedding, 0)), 0.0f);
-    engine.setCodec(SyncCodec::kFp16);
-    EXPECT_EQ(maxAbsOf(engine.residualRow(Label::kEmbedding, 0)), 0.0f);
   });
 }
 

@@ -1,13 +1,12 @@
 // Multithreaded sync-path coverage. Four angles:
 //
 //   1. Determinism: worker threads issue disjoint-row updates (exercising the
-//      DeltaLog's concurrent first-touch capture), then the parallel engine
-//      syncs — replica bits must be identical at every thread count for all
-//      three strategies. This suite is TSan-clean: the only concurrency is
-//      the capture path and the engine's row-disjoint pack/fold/apply.
-//   2. Pipelining: K > 1 chunked rounds must reproduce K = 1 bits, pay more
-//      bytes (chunk headers + framing), and surface overlap-aware modelled
-//      time plus a pack/exchange/fold/apply breakdown in ClusterReport.
+//      DeltaLog's concurrent first-touch capture), then the engine syncs —
+//      replica bits must be identical at every thread count for all three
+//      strategies. This suite is TSan-clean: the only concurrency is the
+//      capture path and the engine's row-disjoint pack/fold/apply.
+//   2. Phase accounting: a pack/exchange/fold/apply breakdown surfaces in
+//      ClusterReport.
 //   3. Scratch reuse: with a stable dirty-set shape, the engine's scratch
 //      growth counter must go quiet after warmup — steady-state rounds make
 //      no engine-side allocations.
@@ -133,53 +132,6 @@ TEST(SyncMt, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(SyncMt, PipelinedChunksBitIdentical) {
-  for (const comm::SyncStrategy strategy : kStrategies) {
-    const MtRun ref = runScripted(4, 2, strategy, {});
-    for (const unsigned chunks : {2u, 4u, 7u}) {
-      comm::SyncOptions sopts;
-      sopts.pipelineChunks = chunks;
-      const MtRun got = runScripted(4, 2, strategy, sopts);
-      EXPECT_EQ(ref.replicaBits, got.replicaBits)
-          << comm::syncStrategyName(strategy) << " chunks " << chunks;
-      // Chunking re-ships per-label headers and per-message framing.
-      EXPECT_GE(got.totalBytes, ref.totalBytes)
-          << comm::syncStrategyName(strategy) << " chunks " << chunks;
-      EXPECT_GT(got.report.maxModelledCommSeconds(), 0.0);
-    }
-  }
-}
-
-TEST(SyncMt, PipelinedOverheadMatchesHeaderMath) {
-  // The K>1 byte premium is pure framing: every extra chunk re-ships the
-  // per-label count headers plus the transport header to each of the H-1
-  // peers, in both the reduce and broadcast phases, every round. Pull's
-  // control exchange always runs unchunked, so the same identity holds for
-  // all three strategies. This locks volume accounting to the header math —
-  // a codec change that leaked into framing would break it.
-  constexpr unsigned kRounds = 3;
-  for (const unsigned hosts : {2u, 4u}) {
-    for (const comm::SyncStrategy strategy : kStrategies) {
-      for (const auto codec : {comm::SyncCodec::kFp32, comm::SyncCodec::kFp16}) {
-        comm::SyncOptions base;
-        base.codec = codec;
-        const MtRun ref = runScripted(hosts, 2, strategy, base, kRounds);
-        for (const unsigned chunks : {2u, 4u}) {
-          comm::SyncOptions sopts = base;
-          sopts.pipelineChunks = chunks;
-          const MtRun got = runScripted(hosts, 2, strategy, sopts, kRounds);
-          const std::uint64_t expected =
-              std::uint64_t{kRounds} * 2 * hosts * (chunks - 1) *
-              comm::SyncEngine::perChunkOverheadBytes(hosts);
-          EXPECT_EQ(got.totalBytes - ref.totalBytes, expected)
-              << comm::syncStrategyName(strategy) << " H" << hosts << " chunks " << chunks
-              << " codec " << comm::syncCodecName(codec);
-        }
-      }
-    }
-  }
-}
-
 TEST(SyncMt, PhaseBreakdownSurfacedInClusterReport) {
   const MtRun run = runScripted(4, 2, comm::SyncStrategy::kRepModelOpt, {});
   const runtime::SyncPhaseSeconds worst = run.report.maxSyncPhaseSeconds();
@@ -288,41 +240,6 @@ TEST(SyncMtHogwild, TrainingVolumeDeterministicAndFinite) {
         }
         EXPECT_GT(a.cluster.maxSyncPhaseSeconds().total(), 0.0);
       }
-    }
-  }
-}
-
-TEST(SyncMtHogwild, PipelinedTrainingMatchesUnchunkedVolume) {
-  // Thread-racy values, but volume and chunk accounting are deterministic:
-  // the chunked run must ship >= the one-shot volume (headers + framing)
-  // and still produce finite embeddings.
-  const std::uint32_t kWords = 40;
-  const text::Vocabulary vocab = mtVocab(kWords);
-  const std::vector<text::WordId> corpus = mtCorpus(kWords, 1500);
-
-  core::TrainOptions o;
-  o.sgns.dim = 8;
-  o.sgns.window = 2;
-  o.sgns.negatives = 3;
-  o.sgns.subsample = 0;
-  o.epochs = 1;
-  o.numHosts = 2;
-  o.workerThreadsPerHost = 2;
-  o.seed = 7;
-  o.trackLoss = false;
-  const core::GraphWord2Vec trainer(vocab, o);
-  const core::TrainResult plain = trainer.train(corpus);
-
-  core::TrainOptions oc = o;
-  oc.sync.pipelineChunks = 4;
-  const core::GraphWord2Vec chunkedTrainer(vocab, oc);
-  const core::TrainResult chunked = chunkedTrainer.train(corpus);
-
-  EXPECT_GE(chunked.cluster.totalBytes(), plain.cluster.totalBytes());
-  EXPECT_GT(chunked.cluster.maxModelledCommSeconds(), 0.0);
-  for (std::uint32_t n = 0; n < chunked.model.numNodes(); ++n) {
-    for (const float v : chunked.model.row(Label::kEmbedding, n)) {
-      ASSERT_TRUE(std::isfinite(v)) << "node " << n;
     }
   }
 }

@@ -1,10 +1,11 @@
+#include "ps_reference.h"
+
 #include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "ps/protocol.h"
-#include "ps/trainer.h"
 #include "ps/worker.h"
 #include "text/corpus.h"
 #include "text/sampling.h"

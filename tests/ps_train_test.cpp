@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "ps_reference.h"
+
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <stdexcept>
 
 #include "sim/network_model.h"
@@ -32,12 +33,16 @@ TEST(Cluster, HostsCanExchangeMessages) {
   opts.numHosts = 2;
   runCluster(opts, [&](HostContext& ctx) {
     if (ctx.id() == 0) {
-      const std::vector<float> data{1.0f, 2.0f};
-      ctx.network().sendVector<float>(0, 1, 1, data);
+      const float data[2] = {1.0f, 2.0f};
+      std::vector<std::uint8_t> payload(sizeof(data));
+      std::memcpy(payload.data(), data, sizeof(data));
+      ctx.network().send(0, 1, 1, std::move(payload));
     } else {
-      const auto got = ctx.network().recvVector<float>(1, 0, 1);
-      EXPECT_EQ(got.size(), 2u);
-      EXPECT_FLOAT_EQ(got[0], 1.0f);
+      const auto got = ctx.network().recv(1, 0, 1);
+      ASSERT_EQ(got.size(), 2 * sizeof(float));
+      float first;
+      std::memcpy(&first, got.data(), sizeof(first));
+      EXPECT_FLOAT_EQ(first, 1.0f);
     }
   });
 }

@@ -68,12 +68,17 @@ TEST(Network, RecvBlocksUntilSend) {
   sender.join();
 }
 
-TEST(Network, SendVectorRoundTrip) {
+TEST(Network, FloatPayloadRoundTrip) {
   Network net(2);
   const std::vector<float> data{1.5f, -2.5f, 3.25f};
-  net.sendVector<float>(0, 1, 4, data);
-  const auto got = net.recvVector<float>(1, 0, 4);
-  EXPECT_EQ(got, data);
+  std::vector<std::uint8_t> payload(data.size() * sizeof(float));
+  std::memcpy(payload.data(), data.data(), payload.size());
+  net.send(0, 1, 4, payload);
+  const auto got = net.recv(1, 0, 4);
+  ASSERT_EQ(got, payload);
+  std::vector<float> back(data.size());
+  std::memcpy(back.data(), got.data(), got.size());
+  EXPECT_EQ(back, data);
 }
 
 TEST(Network, EmptyPayloadAllowed) {
