@@ -50,11 +50,12 @@ int main() {
       const auto [lo, hi] = text::hostSlice(data.corpus.size(), hosts, h);
       const std::span<const text::WordId> chunk(data.corpus.data() + lo, hi - lo);
       util::Rng rng(util::hash64(1234 ^ (h << 8)));
-      core::forEachTrainingStep(
-          chunk, params, subsampler, negSampler, rng,
-          [&](text::WordId center, text::WordId context, std::span<const text::WordId> negs) {
+      core::forEachTrainingBatch(
+          chunk, params, 1, subsampler, negSampler, rng,
+          [&](text::WordId center, std::span<const text::WordId> contexts,
+              std::span<const text::WordId> negs) {
             hostMask[center] |= 1u << h;
-            hostMask[context] |= 1u << h;
+            hostMask[contexts[0]] |= 1u << h;
             for (const auto n : negs) hostMask[n] |= 1u << h;
           });
       if (h == 0) {
@@ -63,13 +64,14 @@ int main() {
         const std::span<const text::WordId> roundChunk(chunk.data() + rlo, rhi - rlo);
         util::Rng rng2(util::hash64(1234));
         touchedRound.reset();
-        core::forEachTrainingStep(roundChunk, params, subsampler, negSampler, rng2,
-                                  [&](text::WordId center, text::WordId context,
-                                      std::span<const text::WordId> negs) {
-                                    touchedRound.set(center);
-                                    touchedRound.set(context);
-                                    for (const auto n : negs) touchedRound.set(n);
-                                  });
+        core::forEachTrainingBatch(
+            roundChunk, params, 1, subsampler, negSampler, rng2,
+            [&](text::WordId center, std::span<const text::WordId> contexts,
+                std::span<const text::WordId> negs) {
+              touchedRound.set(center);
+              touchedRound.set(contexts[0]);
+              for (const auto n : negs) touchedRound.set(n);
+            });
         touchedFraction =
             static_cast<double>(touchedRound.count()) / static_cast<double>(vocab);
       }

@@ -8,7 +8,7 @@
 //
 // Exit status is the CI gate:
 //   1. all three ingestion paths produce bit-identical embeddings
-//      (shuffle off — the documented contract),
+//      (the documented contract),
 //   2. held-out neighbor-recall@10 >= 0.5 where the random baseline is
 //      <= 0.05 (10 / vocab), and link AUC >= 0.9,
 //   3. the pipelined path's peak resident corpus is <= 25% of the

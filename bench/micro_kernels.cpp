@@ -189,10 +189,10 @@ BENCHMARK(BM_SgnsStepBatched)
     ->Args({8, 200})
     ->Args({16, 200});
 
-// Allreduce algorithms head-to-head on the simulated fabric: the naive star
-// (root drains H-1 full payloads), the bandwidth-optimal ring, and the
-// binomial tree. One iteration = one full allreduce across `hosts` threads;
-// bytes_per_second counts the logical payload once.
+// Allreduce algorithms head-to-head on the simulated fabric: the
+// bandwidth-optimal ring and the binomial tree. One iteration = one full
+// allreduce across `hosts` threads; bytes_per_second counts the logical
+// payload once.
 void BM_Collectives(benchmark::State& state) {
   const auto algo = static_cast<comm::CollectiveAlgo>(state.range(0));
   const auto n = static_cast<std::size_t>(state.range(1));
@@ -219,22 +219,16 @@ void BM_Collectives(benchmark::State& state) {
 BENCHMARK(BM_Collectives)
     ->ArgNames({"algo", "n", "hosts"})
     ->Unit(benchmark::kMillisecond)
-    ->Args({static_cast<int>(comm::CollectiveAlgo::kNaive), 1 << 10, 8})
     ->Args({static_cast<int>(comm::CollectiveAlgo::kRing), 1 << 10, 8})
     ->Args({static_cast<int>(comm::CollectiveAlgo::kTree), 1 << 10, 8})
-    ->Args({static_cast<int>(comm::CollectiveAlgo::kNaive), 1 << 16, 8})
     ->Args({static_cast<int>(comm::CollectiveAlgo::kRing), 1 << 16, 8})
     ->Args({static_cast<int>(comm::CollectiveAlgo::kTree), 1 << 16, 8})
-    ->Args({static_cast<int>(comm::CollectiveAlgo::kNaive), 1 << 20, 8})
     ->Args({static_cast<int>(comm::CollectiveAlgo::kRing), 1 << 20, 8})
     ->Args({static_cast<int>(comm::CollectiveAlgo::kTree), 1 << 20, 8})
-    ->Args({static_cast<int>(comm::CollectiveAlgo::kNaive), 1 << 10, 32})
     ->Args({static_cast<int>(comm::CollectiveAlgo::kRing), 1 << 10, 32})
     ->Args({static_cast<int>(comm::CollectiveAlgo::kTree), 1 << 10, 32})
-    ->Args({static_cast<int>(comm::CollectiveAlgo::kNaive), 1 << 16, 32})
     ->Args({static_cast<int>(comm::CollectiveAlgo::kRing), 1 << 16, 32})
     ->Args({static_cast<int>(comm::CollectiveAlgo::kTree), 1 << 16, 32})
-    ->Args({static_cast<int>(comm::CollectiveAlgo::kNaive), 1 << 20, 32})
     ->Args({static_cast<int>(comm::CollectiveAlgo::kRing), 1 << 20, 32})
     ->Args({static_cast<int>(comm::CollectiveAlgo::kTree), 1 << 20, 32});
 

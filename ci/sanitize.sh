@@ -31,8 +31,10 @@ if [[ "$SANITIZE" == *thread* ]]; then
   # push path must be race-free, not benignly racy), and the streaming
   # corpus rings (Streaming.* / StreamTrain.*: one producer thread per
   # shard publishing chunks under the ring mutex while trainer hosts
-  # drain them; epoch replay and destructor shutdown cross generations)
-  # — must be race-free.
+  # drain them; epoch replay and destructor shutdown cross generations),
+  # and the trainer goldens (SyncRegression.*: every trainer that drives
+  # the SGNS edge stream, at one worker thread per host, plus the async
+  # PS with one thread per rank) — must be race-free.
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" -E 'Hogwild'
 else
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"

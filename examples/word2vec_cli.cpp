@@ -21,8 +21,7 @@
 //                 only meaningful with -spill-dir)
 //   -stream 1   stream the corpus from disk each epoch through bounded
 //               per-host rings instead of materializing it in RAM; same
-//               token streams, so same model bits (shuffle differs — see
-//               TrainOptions::shuffleEachEpoch)
+//               token streams, so same model bits
 
 #include <cstdio>
 #include <cstdlib>

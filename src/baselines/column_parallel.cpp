@@ -109,11 +109,12 @@ ColumnParallelResult trainColumnParallel(const text::Vocabulary& vocab,
       // (data replicated, model partitioned — the inverse of GraphWord2Vec).
       util::Rng rng(util::hash64(opts.seed ^ (0xc01ULL + epoch)));
       ctx.computeTimer().start();
-      core::forEachTrainingStep(
-          corpus, opts.sgns, subsampler, negSampler, rng,
-          [&](text::WordId center, text::WordId context, std::span<const text::WordId> negs) {
+      core::forEachTrainingBatch(
+          corpus, opts.sgns, 1, subsampler, negSampler, rng,
+          [&](text::WordId center, std::span<const text::WordId> context,
+              std::span<const text::WordId> negs) {
             centers.push_back(center);
-            contexts.push_back(context);
+            contexts.push_back(context[0]);
             targets.push_back(center);
             targets.insert(targets.end(), negs.begin(), negs.end());
             ++examples;

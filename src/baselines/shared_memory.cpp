@@ -50,6 +50,8 @@ SharedMemoryResult trainHogwild(const text::Vocabulary& vocab,
       hs ? std::make_unique<core::HuffmanTree>(vocab.counts()) : nullptr;
   core::SgnsParams driverParams = opts.sgns;
   if (hs) driverParams.negatives = 0;
+  // Whole window per CBOW example, one pair otherwise.
+  const std::uint32_t batch = cbow ? 2 * opts.sgns.window : 1;
   std::vector<core::SgnsScratch> scratch;
   std::vector<core::CbowScratch> cbowScratch;
   scratch.reserve(numThreads);
@@ -74,27 +76,22 @@ SharedMemoryResult trainHogwild(const text::Vocabulary& vocab,
                                  (0x5151ULL + t)));
       double loss = 0.0;
       std::uint64_t examples = 0;
-      if (cbow) {
-        core::forEachCbowStep(
-            corpus.subspan(lo, hi - lo), opts.sgns, subsampler, negSampler, rng,
-            [&](text::WordId center, std::span<const text::WordId> contexts,
-                std::span<const text::WordId> negs) {
+      core::forEachTrainingBatch(
+          corpus.subspan(lo, hi - lo), driverParams, batch, subsampler, negSampler, rng,
+          [&](text::WordId center, std::span<const text::WordId> contexts,
+              std::span<const text::WordId> negs) {
+            if (cbow) {
               loss += core::cbowStep(result.model, center, contexts, negs, alpha, sigmoid,
                                      cbowScratch[t], opts.trackLoss);
-              ++examples;
-            });
-      } else {
-        core::forEachTrainingStep(
-            corpus.subspan(lo, hi - lo), driverParams, subsampler, negSampler, rng,
-            [&](text::WordId center, text::WordId context,
-                std::span<const text::WordId> negs) {
-              loss += hs ? core::hsStep(result.model, center, context, *huffman, alpha,
-                                        sigmoid, scratch[t], opts.trackLoss)
-                         : core::sgnsStep(result.model, center, context, negs, alpha,
-                                          sigmoid, scratch[t], opts.trackLoss);
-              ++examples;
-            });
-      }
+            } else if (hs) {
+              loss += core::hsStep(result.model, center, contexts[0], *huffman, alpha,
+                                   sigmoid, scratch[t], opts.trackLoss);
+            } else {
+              loss += core::sgnsStep(result.model, center, contexts[0], negs, alpha, sigmoid,
+                                     scratch[t], opts.trackLoss);
+            }
+            ++examples;
+          });
       lossAcc.local(t) += loss;
       exampleAcc.local(t) += examples;
       cpuSeconds.local(t) += cpu.seconds();
@@ -171,9 +168,11 @@ SharedMemoryResult trainBatched(const text::Vocabulary& vocab,
     std::uint64_t examples = 0;
     std::uint32_t inBatch = 0;
 
-    core::forEachTrainingStep(
-        corpus, opts.sgns, subsampler, negSampler, rng,
-        [&](text::WordId center, text::WordId context, std::span<const text::WordId> negs) {
+    core::forEachTrainingBatch(
+        corpus, opts.sgns, 1, subsampler, negSampler, rng,
+        [&](text::WordId center, std::span<const text::WordId> contexts,
+            std::span<const text::WordId> negs) {
+          const text::WordId context = contexts[0];
           const auto emb = model.row(graph::Label::kEmbedding, context);
           std::fill(neu1e.begin(), neu1e.end(), 0.0f);
 

@@ -5,7 +5,6 @@ namespace gw2v::comm {
 const char* collectiveAlgoName(CollectiveAlgo a) noexcept {
   switch (a) {
     case CollectiveAlgo::kAuto: return "auto";
-    case CollectiveAlgo::kNaive: return "naive";
     case CollectiveAlgo::kRing: return "ring";
     case CollectiveAlgo::kTree: return "tree";
   }

@@ -8,8 +8,7 @@
 //
 //   allReduce   ring reduce-scatter + all-gather — ~2·n·(H−1)/H bytes per
 //               rank, perfectly balanced — or binomial tree reduce+broadcast
-//               for payloads too small to chunk; the star survives only as
-//               the `kNaive` reference implementation used by tests/benches.
+//               for payloads too small to chunk.
 //   broadcast   binomial tree, ceil(log2 H) rounds.
 //   reduce      binomial tree to a root (non-root buffers are clobbered
 //               with partial folds).
@@ -30,10 +29,9 @@
 // so the sequences agree across ranks by construction).
 //
 // Cost accounting: each collective records its serialized round count
-// (ring: 2(H−1), tree: ceil(log2 H), star: 2(H−1) at and behind the root)
-// via CommStats::recordCollectiveRounds, and NetworkModel charges
-// max(messages, rounds) × latency — tree depth and root serialization show
-// up in modelled time even where per-rank message counts would hide them.
+// (ring: 2(H−1), tree: ceil(log2 H)) via CommStats::recordCollectiveRounds,
+// and NetworkModel charges max(messages, rounds) × latency — tree depth shows
+// up in modelled time even where per-rank message counts would hide it.
 
 #include <cstdint>
 #include <functional>
@@ -47,7 +45,7 @@
 
 namespace gw2v::comm {
 
-enum class CollectiveAlgo : int { kAuto = 0, kNaive = 1, kRing = 2, kTree = 3 };
+enum class CollectiveAlgo : int { kAuto = 0, kRing = 1, kTree = 2 };
 enum class CollOp : int { kSum = 0, kMin = 1, kMax = 2 };
 
 const char* collectiveAlgoName(CollectiveAlgo a) noexcept;
@@ -113,17 +111,11 @@ class Collectives {
                      CollectiveAlgo algo = CollectiveAlgo::kAuto,
                      sim::CommPhase phase = sim::CommPhase::kReduce) {
     if (numRanks_ <= 1 || values.empty()) return;
-    switch (resolveAllReduce(algo, values.size())) {
-      case CollectiveAlgo::kRing:
-        ringAllReduce(values, fold, phase);
-        break;
-      case CollectiveAlgo::kTree:
-        treeReduce(values, 0, fold, phase);
-        broadcast(values, 0, CollectiveAlgo::kTree, phase);
-        break;
-      default:
-        naiveAllReduce(values, fold, phase);
-        break;
+    if (resolveAllReduce(algo, values.size()) == CollectiveAlgo::kRing) {
+      ringAllReduce(values, fold, phase);
+    } else {
+      treeReduce(values, 0, fold, phase);
+      treeBroadcast(values, 0, phase);
     }
   }
 
@@ -133,17 +125,13 @@ class Collectives {
     allReduce(values, CollOp::kSum, algo, phase);
   }
 
-  /// In-place broadcast from `root`; non-root buffers are overwritten.
+  /// In-place binomial-tree broadcast from `root`; non-root buffers are
+  /// overwritten.
   template <typename T>
   void broadcast(std::span<T> values, RankId root,
-                 CollectiveAlgo algo = CollectiveAlgo::kAuto,
                  sim::CommPhase phase = sim::CommPhase::kBroadcast) {
     if (numRanks_ <= 1) return;
-    if (algo == CollectiveAlgo::kNaive) {
-      naiveBroadcast(values, root, phase);
-    } else {
-      treeBroadcast(values, root, phase);
-    }
+    treeBroadcast(values, root, phase);
   }
 
   /// Binomial-tree reduce into `root`'s buffer. Non-root buffers hold
@@ -314,56 +302,6 @@ class Collectives {
       mask <<= 1;
     }
     recordRounds(ceilLog2(H));
-  }
-
-  // Star through rank 0 — the reference implementation tests compare the
-  // algorithmic collectives against. The root drains contributions in
-  // arrival order (recvAny) but folds them in rank order for determinism.
-  template <typename T, typename Fold>
-  void naiveAllReduce(std::span<T> v, Fold& fold, sim::CommPhase phase) {
-    const unsigned H = numRanks_;
-    const int tag = nextTag();
-    if (me_ == 0) {
-      std::vector<std::vector<T>> contrib(H);
-      for (unsigned k = 1; k < H; ++k) {
-        auto [src, payload] = t_.recvAny(0, tag, phase);
-        contrib[src] = Transport::elemsFromBytes<T>(payload);
-      }
-      for (unsigned src = 1; src < H; ++src) {
-        if (contrib[src].size() != v.size())
-          throw std::runtime_error("naive allreduce: size mismatch across ranks");
-        fold(v, std::span<const T>(contrib[src]));
-      }
-      for (RankId dst = 1; dst < H; ++dst) {
-        t_.sendElems<T>(0, dst, tag + 1, std::span<const T>(v), phase);
-      }
-    } else {
-      t_.sendElems<T>(me_, 0, tag, std::span<const T>(v), phase);
-      const std::vector<T> result = t_.recvElems<T>(me_, 0, tag + 1, phase);
-      if (result.size() != v.size())
-        throw std::runtime_error("naive allreduce: size mismatch across ranks");
-      std::copy(result.begin(), result.end(), v.begin());
-    }
-    // Everyone waits out the root's serialized drain + re-send.
-    recordRounds(2 * (H - 1));
-  }
-
-  template <typename T>
-  void naiveBroadcast(std::span<T> v, RankId root, sim::CommPhase phase) {
-    const unsigned H = numRanks_;
-    const int tag = nextTag();
-    if (me_ == root) {
-      for (RankId dst = 0; dst < H; ++dst) {
-        if (dst == root) continue;
-        t_.sendElems<T>(me_, dst, tag, std::span<const T>(v), phase);
-      }
-    } else {
-      const std::vector<T> in = t_.recvElems<T>(me_, root, tag, phase);
-      if (in.size() != v.size())
-        throw std::runtime_error("naive broadcast: size mismatch across ranks");
-      std::copy(in.begin(), in.end(), v.begin());
-    }
-    recordRounds(H - 1);
   }
 
   Transport& t_;

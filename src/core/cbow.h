@@ -5,7 +5,9 @@
 // models as well"). One training example averages the window's embedding
 // vectors and classifies the center word against it (plus negatives); the
 // same graph formulation applies — the example touches the embedding rows of
-// the window and the training rows of center + negatives.
+// the window and the training rows of center + negatives. The examples come
+// from forEachTrainingBatch (core/sgns.h) at batch size 2 * window, so one
+// batch is the whole window.
 
 #include <cstdint>
 #include <span>
@@ -13,8 +15,6 @@
 
 #include "core/sgns.h"
 #include "graph/model_graph.h"
-#include "text/sampling.h"
-#include "util/rng.h"
 #include "util/sigmoid_table.h"
 
 namespace gw2v::core {
@@ -25,46 +25,6 @@ struct CbowScratch {
   std::vector<float> neu1e;
   explicit CbowScratch(std::uint32_t dim) : neu1(dim), neu1e(dim) {}
 };
-
-/// Drive CBOW examples over `tokens`:
-///   fn(center, contexts, negatives)
-/// with the same RNG-consumption discipline as forEachTrainingStep (window
-/// shrink, subsampling and negative draws all happen here, so a dry run
-/// predicts compute's accesses exactly).
-template <typename Fn>
-void forEachCbowStep(std::span<const text::WordId> tokens, const SgnsParams& params,
-                     const text::SubsampleFilter& subsampler,
-                     const text::NegativeSampler& negSampler, util::Rng& rng, Fn&& fn) {
-  std::vector<text::WordId> sentence;
-  sentence.reserve(params.maxSentence);
-  std::vector<text::WordId> contexts;
-  std::vector<text::WordId> negs(params.negatives);
-
-  std::size_t cursor = 0;
-  while (cursor < tokens.size()) {
-    sentence.clear();
-    while (cursor < tokens.size() && sentence.size() < params.maxSentence) {
-      const text::WordId w = tokens[cursor++];
-      if (subsampler.keep(w, rng)) sentence.push_back(w);
-    }
-    const std::size_t len = sentence.size();
-    for (std::size_t pos = 0; pos < len; ++pos) {
-      const text::WordId center = sentence[pos];
-      const unsigned b = static_cast<unsigned>(rng.bounded(params.window));
-      contexts.clear();
-      for (unsigned a = b; a < params.window * 2 + 1 - b; ++a) {
-        if (a == params.window) continue;
-        const std::ptrdiff_t off =
-            static_cast<std::ptrdiff_t>(pos) - params.window + static_cast<std::ptrdiff_t>(a);
-        if (off < 0 || off >= static_cast<std::ptrdiff_t>(len)) continue;
-        contexts.push_back(sentence[static_cast<std::size_t>(off)]);
-      }
-      if (contexts.empty()) continue;
-      for (unsigned k = 0; k < params.negatives; ++k) negs[k] = negSampler.sample(rng, center);
-      fn(center, std::span<const text::WordId>(contexts), std::span<const text::WordId>(negs));
-    }
-  }
-}
 
 /// One CBOW SGD step (word2vec.c's cbow branch with cbow_mean=1): the
 /// window mean classifies center vs negatives; the shared gradient flows

@@ -4,11 +4,13 @@
 //
 // Edges of the word graph are generated on the fly: positive edges from a
 // randomized sliding window over the corpus, negative edges from the
-// unigram^0.75 sampler. forEachTrainingStep() is the single source of truth
-// for that edge stream — both the compute phase (gradient updates) and the
-// PullModel inspection phase (access-set recording) drive it with identically
-// seeded RNGs, so inspection predicts exactly the nodes compute will touch.
+// unigram^0.75 sampler. forEachTrainingBatch() is the single source of truth
+// for that edge stream — every trainer's compute phase (gradient updates) and
+// the PullModel inspection phase (access-set recording) drive it with
+// identically seeded RNGs, so inspection predicts exactly the nodes compute
+// will touch.
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -46,24 +48,35 @@ struct SgnsParams {
   /// Context words per shared-negative batch (pWord2Vec scheme; see
   /// core/sgns_batched.h). 1 = the word2vec.c per-pair stream, bit-identical
   /// to sgnsStep; >1 trades exact Hogwild update ordering for the batched
-  /// kernel's cache reuse. Skip-gram + negative sampling only.
+  /// kernel's cache reuse. Honoured by GraphWord2Vec's skip-gram + negative
+  /// sampling path only.
   std::uint32_t batchSize = 1;
   Architecture architecture = Architecture::kSkipGram;
   Objective objective = Objective::kNegativeSampling;
 };
 
-/// Drive the SGNS edge stream over `tokens`, calling
-///   fn(center, context, negatives)
-/// for every generated training example. The RNG is consumed identically
-/// regardless of what fn does (subsampling, window shrink b, and negative
-/// draws all happen here), which is what makes inspection == compute.
+/// Drive the SGNS edge stream over `tokens`, grouping each center's window
+/// into batches of at most `batchSize` context words that share one negative
+/// set, and calling
+///   fn(center, contexts, negatives)
+/// per batch. The RNG is consumed identically regardless of what fn does
+/// (subsampling, window shrink b, and negative draws all happen here), which
+/// is what makes inspection == compute. The batch size picks the consumer:
+///  - 1: the word2vec.c per-pair stream (one negative set per context) that
+///    sgnsStep and hsStep train on;
+///  - 2 * window: one batch per non-empty window, the CBOW example (empty
+///    windows draw nothing);
+///  - in between: pWord2Vec's shared-negative batches for sgnsStepBatched.
 template <typename Fn>
-void forEachTrainingStep(std::span<const text::WordId> tokens, const SgnsParams& params,
-                         const text::SubsampleFilter& subsampler,
-                         const text::NegativeSampler& negSampler, util::Rng& rng, Fn&& fn) {
+void forEachTrainingBatch(std::span<const text::WordId> tokens, const SgnsParams& params,
+                          std::uint32_t batchSize, const text::SubsampleFilter& subsampler,
+                          const text::NegativeSampler& negSampler, util::Rng& rng, Fn&& fn) {
   std::vector<text::WordId> sentence;
   sentence.reserve(params.maxSentence);
+  std::vector<text::WordId> contexts;
+  contexts.reserve(2 * params.window);
   std::vector<text::WordId> negs(params.negatives);
+  if (batchSize == 0) batchSize = 1;
 
   std::size_t cursor = 0;
   while (cursor < tokens.size()) {
@@ -81,16 +94,21 @@ void forEachTrainingStep(std::span<const text::WordId> tokens, const SgnsParams&
       // Random window shrink: effective window is [b, window] (word2vec.c's
       // `b = next_random % window`).
       const unsigned b = static_cast<unsigned>(rng.bounded(params.window));
+      contexts.clear();
       for (unsigned a = b; a < params.window * 2 + 1 - b; ++a) {
         if (a == params.window) continue;
         const std::ptrdiff_t off =
             static_cast<std::ptrdiff_t>(pos) - params.window + static_cast<std::ptrdiff_t>(a);
         if (off < 0 || off >= static_cast<std::ptrdiff_t>(len)) continue;
-        const text::WordId context = sentence[static_cast<std::size_t>(off)];
+        contexts.push_back(sentence[static_cast<std::size_t>(off)]);
+      }
+      for (std::size_t lo = 0; lo < contexts.size(); lo += batchSize) {
+        const std::size_t hi = std::min(contexts.size(), lo + batchSize);
         for (unsigned k = 0; k < params.negatives; ++k) {
           negs[k] = negSampler.sample(rng, center);
         }
-        fn(center, context, std::span<const text::WordId>(negs));
+        fn(center, std::span<const text::WordId>(contexts.data() + lo, hi - lo),
+           std::span<const text::WordId>(negs));
       }
     }
   }

@@ -17,12 +17,11 @@
 //
 // Updates are computed against the gathered snapshot (as in pWord2Vec), so a
 // batch is one "parallel" SGD step; with B=1 the kernel delegates to the
-// per-pair sgnsStep and is bit-identical to it. forEachTrainingBatch consumes
-// the RNG exactly like forEachTrainingStep at B=1, so default-configured runs
-// (batchSize=1) reproduce the unbatched edge stream bit-for-bit — including
-// the PullModel inspection dry-runs.
+// per-pair sgnsStep and is bit-identical to it. The batches come from
+// forEachTrainingBatch (core/sgns.h), whose B=1 stream is the per-pair one,
+// so default-configured runs (batchSize=1) reproduce the unbatched edge
+// stream bit-for-bit — including the PullModel inspection dry-runs.
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -56,55 +55,5 @@ float sgnsStepBatched(graph::ModelGraph& model, text::WordId center,
                       std::span<const text::WordId> negatives, float alpha,
                       const util::SigmoidTable& sigmoid, SgnsBatchScratch& scratch,
                       bool collectLoss = false);
-
-/// Drive the SGNS edge stream like forEachTrainingStep, but group each
-/// center's window into batches of at most `batchSize` context words sharing
-/// one negative set, calling
-///   fn(center, contexts, negatives)
-/// per batch. At batchSize == 1 the RNG consumption and emitted pairs are
-/// identical to forEachTrainingStep (one negative set per context), which is
-/// what keeps inspection == compute and the default path regression-locked.
-template <typename Fn>
-void forEachTrainingBatch(std::span<const text::WordId> tokens, const SgnsParams& params,
-                          std::uint32_t batchSize, const text::SubsampleFilter& subsampler,
-                          const text::NegativeSampler& negSampler, util::Rng& rng, Fn&& fn) {
-  std::vector<text::WordId> sentence;
-  sentence.reserve(params.maxSentence);
-  std::vector<text::WordId> contexts;
-  contexts.reserve(2 * params.window);
-  std::vector<text::WordId> negs(params.negatives);
-  if (batchSize == 0) batchSize = 1;
-
-  std::size_t cursor = 0;
-  while (cursor < tokens.size()) {
-    sentence.clear();
-    while (cursor < tokens.size() && sentence.size() < params.maxSentence) {
-      const text::WordId w = tokens[cursor++];
-      if (subsampler.keep(w, rng)) sentence.push_back(w);
-    }
-
-    const std::size_t len = sentence.size();
-    for (std::size_t pos = 0; pos < len; ++pos) {
-      const text::WordId center = sentence[pos];
-      const unsigned b = static_cast<unsigned>(rng.bounded(params.window));
-      contexts.clear();
-      for (unsigned a = b; a < params.window * 2 + 1 - b; ++a) {
-        if (a == params.window) continue;
-        const std::ptrdiff_t off =
-            static_cast<std::ptrdiff_t>(pos) - params.window + static_cast<std::ptrdiff_t>(a);
-        if (off < 0 || off >= static_cast<std::ptrdiff_t>(len)) continue;
-        contexts.push_back(sentence[static_cast<std::size_t>(off)]);
-      }
-      for (std::size_t lo = 0; lo < contexts.size(); lo += batchSize) {
-        const std::size_t hi = std::min(contexts.size(), lo + batchSize);
-        for (unsigned k = 0; k < params.negatives; ++k) {
-          negs[k] = negSampler.sample(rng, center);
-        }
-        fn(center, std::span<const text::WordId>(contexts.data() + lo, hi - lo),
-           std::span<const text::WordId>(negs));
-      }
-    }
-  }
-}
 
 }  // namespace gw2v::core

@@ -14,7 +14,6 @@
 #include "graph/partition.h"
 #include "runtime/do_all.h"
 #include "runtime/per_thread.h"
-#include "text/corpus.h"
 #include "text/sampling.h"
 #include "util/sigmoid_table.h"
 
@@ -62,31 +61,22 @@ GraphWord2Vec::GraphWord2Vec(const text::Vocabulary& vocab, TrainOptions opts)
 
 namespace {
 
-/// Assembles per-sync-round token spans from a streaming CorpusShard's
-/// chunks. Round s of an epoch covers the blockRange(total, rounds, s) slice
-/// of the shard's declared tokensPerEpoch; whenever that slice lies inside
-/// the currently-pulled chunk it is returned zero-copy, otherwise it is
-/// stitched into a scratch buffer bounded by the round size (corpus /
-/// (hosts * rounds) tokens — the trainer-side share of streaming memory).
-/// Chunk ids are validated at pull time; with chunk shuffling on, each chunk
-/// is re-ordered in a private copy, deterministic per
-/// (seed, host, epoch, chunk index).
+/// Assembles per-sync-round token spans from a CorpusShard's chunks — the
+/// one way the trainer reads its corpus. Round s of an epoch covers the
+/// blockRange(total, rounds, s) slice of the shard's declared
+/// tokensPerEpoch; whenever that slice lies inside the currently-pulled chunk
+/// it is returned zero-copy (always, for a SpanCorpusSource shard, whose
+/// epoch is one chunk), otherwise it is stitched into a scratch buffer
+/// bounded by the round size (corpus / (hosts * rounds) tokens — the
+/// trainer-side share of streaming memory). Chunk ids are validated at pull
+/// time.
 class RoundFeeder {
  public:
-  RoundFeeder(text::CorpusShard& shard, unsigned rounds, std::uint32_t vocabSize,
-              bool shuffleChunks, std::uint64_t seed, unsigned host)
-      : shard_(shard),
-        rounds_(rounds),
-        total_(shard.tokensPerEpoch()),
-        vocabSize_(vocabSize),
-        shuffleChunks_(shuffleChunks),
-        seed_(seed),
-        host_(host) {}
+  RoundFeeder(text::CorpusShard& shard, unsigned rounds, std::uint32_t vocabSize)
+      : shard_(shard), rounds_(rounds), total_(shard.tokensPerEpoch()), vocabSize_(vocabSize) {}
 
   void beginEpoch(unsigned epoch) {
     shard_.beginEpoch(epoch);
-    epoch_ = epoch;
-    chunkIdx_ = 0;
     cur_ = {};
     off_ = 0;
   }
@@ -116,51 +106,32 @@ class RoundFeeder {
     return buf_;
   }
 
-  /// Scratch this feeder holds onto (round-assembly + chunk-shuffle copies).
+  /// Round-assembly scratch this feeder holds onto.
   std::uint64_t bufferedBytesPeak() const noexcept {
-    return (buf_.capacity() + copy_.capacity()) * sizeof(text::WordId);
+    return buf_.capacity() * sizeof(text::WordId);
   }
 
  private:
   void pullOrThrow() {
-    const auto chunk = shard_.nextChunk();
-    if (chunk.empty()) {
+    cur_ = shard_.nextChunk();
+    off_ = 0;
+    if (cur_.empty()) {
       throw std::runtime_error(
           "GraphWord2Vec: corpus shard under-delivered its declared tokensPerEpoch");
     }
-    for (const text::WordId w : chunk) {
+    for (const text::WordId w : cur_) {
       if (w >= vocabSize_)
         throw std::out_of_range("GraphWord2Vec: corpus id out of vocabulary");
     }
-    if (shuffleChunks_ && chunk.size() > 1) {
-      copy_.assign(chunk.begin(), chunk.end());
-      std::uint64_t x = util::hash64(seed_ ^ (0xC0FFEEULL + host_));
-      x = util::hash64(x ^ ((static_cast<std::uint64_t>(epoch_) << 32) | chunkIdx_));
-      util::Rng rng(x);
-      for (std::size_t i = copy_.size(); i > 1; --i) {
-        std::swap(copy_[i - 1], copy_[rng.bounded(i)]);
-      }
-      cur_ = copy_;
-    } else {
-      cur_ = chunk;
-    }
-    off_ = 0;
-    ++chunkIdx_;
   }
 
   text::CorpusShard& shard_;
   const unsigned rounds_;
   const std::uint64_t total_;
   const std::uint32_t vocabSize_;
-  const bool shuffleChunks_;
-  const std::uint64_t seed_;
-  const unsigned host_;
-  unsigned epoch_ = 0;
-  std::uint64_t chunkIdx_ = 0;
   std::span<const text::WordId> cur_;
   std::uint64_t off_ = 0;
   std::vector<text::WordId> buf_;
-  std::vector<text::WordId> copy_;
 };
 
 }  // namespace
@@ -202,6 +173,11 @@ TrainResult GraphWord2Vec::train(text::CorpusSource& source,
   // Under HS the driver must not draw (or consume RNG for) negatives.
   SgnsParams driverParams = opts_.sgns;
   if (hs) driverParams.negatives = 0;
+  // One edge stream for every architecture; the batch size picks the example
+  // shape: the whole window for CBOW, one pair for HS, and the configured
+  // shared-negative batch for skip-gram negative sampling.
+  const bool cbow = opts_.sgns.architecture == Architecture::kCbow;
+  const std::uint32_t batch = cbow ? 2 * opts_.sgns.window : hs ? 1 : opts_.sgns.batchSize;
 
   const graph::BlockedPartition partition(vocabSize, numHosts);
 
@@ -241,33 +217,9 @@ TrainResult GraphWord2Vec::train(text::CorpusSource& source,
     comm::SimTransport transport(ctx.network());
     comm::Collectives coll(transport, host, comm::TagSpace::kTrainer);
 
-    text::CorpusShard& shard = source.shard(host);
-    const auto wholeEpoch = shard.materializedEpoch();
-
-    // Materialized path: the shard's stable epoch span, exactly the
-    // pre-streaming worklist slice. With shuffling on, the host re-permutes
-    // a private copy each epoch (cumulatively — the epoch-e order composes
-    // the shuffles of epochs 1..e, as the span API always has).
-    std::vector<text::WordId> shuffled;
-    std::span<const text::WordId> tokens;
-    if (wholeEpoch.has_value()) {
-      for (const text::WordId w : *wholeEpoch) {
-        if (w >= vocabSize)
-          throw std::out_of_range("GraphWord2Vec: corpus id out of vocabulary");
-      }
-      if (opts_.shuffleEachEpoch) {
-        shuffled.assign(wholeEpoch->begin(), wholeEpoch->end());
-        tokens = shuffled;
-      } else {
-        tokens = *wholeEpoch;
-      }
-    }
-    // Streaming path: rounds are assembled on demand from producer chunks.
-    RoundFeeder feeder(shard, rounds, vocabSize, opts_.shuffleEachEpoch, opts_.seed, host);
+    RoundFeeder feeder(source.shard(host), rounds, vocabSize);
     const unsigned numThreads = ctx.pool().numThreads();
 
-    const bool cbow = opts_.sgns.architecture == Architecture::kCbow;
-    const std::uint32_t batch = opts_.sgns.batchSize;
     std::vector<SgnsScratch> scratch;
     std::vector<SgnsBatchScratch> batchScratch;
     std::vector<CbowScratch> cbowScratch;
@@ -276,7 +228,7 @@ TrainResult GraphWord2Vec::train(text::CorpusSource& source,
     cbowScratch.reserve(numThreads);
     for (unsigned t = 0; t < numThreads; ++t) {
       scratch.emplace_back(dim);
-      batchScratch.emplace_back(dim, batch, opts_.sgns.negatives);
+      batchScratch.emplace_back(dim, opts_.sgns.batchSize, opts_.sgns.negatives);
       cbowScratch.emplace_back(dim);
     }
 
@@ -297,70 +249,40 @@ TrainResult GraphWord2Vec::train(text::CorpusSource& source,
     };
     // PullModel inspection: dry-run the edge stream of round (epoch, s) with
     // the exact RNG seeds compute will use, recording every node accessed.
+    // Under HS the training rows touched are the center's Huffman points.
     const auto inspect = [&](std::span<const text::WordId> chunk, unsigned epoch,
                              unsigned s) {
       willAccess.reset();
       for (unsigned t = 0; t < numThreads; ++t) {
         const auto [lo, hi] = runtime::blockRange(chunk.size(), numThreads, t);
         util::Rng rng(threadSeed(epoch, s, t));
-        if (cbow) {
-          forEachCbowStep(chunk.subspan(lo, hi - lo), opts_.sgns, subsampler, negSampler, rng,
-                          [&](text::WordId center, std::span<const text::WordId> contexts,
-                              std::span<const text::WordId> negs) {
-                            willAccess.set(center);
-                            for (const text::WordId c : contexts) willAccess.set(c);
-                            for (const text::WordId n : negs) willAccess.set(n);
-                          });
-        } else if (hs) {
-          forEachTrainingStep(
-              chunk.subspan(lo, hi - lo), driverParams, subsampler, negSampler, rng,
-              [&](text::WordId center, text::WordId context,
-                  std::span<const text::WordId>) {
-                willAccess.set(context);
+        forEachTrainingBatch(
+            chunk.subspan(lo, hi - lo), driverParams, batch, subsampler, negSampler, rng,
+            [&](text::WordId center, std::span<const text::WordId> contexts,
+                std::span<const text::WordId> negs) {
+              for (const text::WordId c : contexts) willAccess.set(c);
+              if (hs) {
                 for (const std::uint32_t p : huffman->points(center)) willAccess.set(p);
-              });
-        } else {
-          forEachTrainingBatch(
-              chunk.subspan(lo, hi - lo), driverParams, batch, subsampler, negSampler, rng,
-              [&](text::WordId center, std::span<const text::WordId> contexts,
-                  std::span<const text::WordId> negs) {
-                for (const text::WordId c : contexts) willAccess.set(c);
+              } else {
                 willAccess.set(center);
-                for (const text::WordId n : negs) willAccess.set(n);
-              });
-        }
+              }
+              for (const text::WordId n : negs) willAccess.set(n);
+            });
       }
     };
 
     std::uint64_t hostExamples = 0;
     for (unsigned epoch = 0; epoch < epochs; ++epoch) {
-      if (!wholeEpoch.has_value()) {
-        // Streaming: rewind/kick the producer for this epoch's stream.
-        feeder.beginEpoch(epoch);
-      } else if (opts_.shuffleEachEpoch) {
-        ctx.computeTimer().start();
-        util::Rng rng(util::hash64(opts_.seed ^ 0xf00dULL ^
-                                   ((static_cast<std::uint64_t>(host) << 32) | epoch)));
-        for (std::size_t i = shuffled.size(); i > 1; --i) {
-          std::swap(shuffled[i - 1], shuffled[rng.bounded(i)]);
-        }
-        ctx.computeTimer().stop();
-      }
+      feeder.beginEpoch(epoch);
       runtime::PerThread<double> lossAcc(numThreads, 0.0);
       runtime::PerThread<std::uint64_t> exampleAcc(numThreads, 0);
 
       for (unsigned s = 0; s < rounds; ++s) {
-        // The round's worklist: zero-copy subspan on the materialized path,
-        // bounded chunk drain (charged as host compute) on the streaming one.
-        std::span<const text::WordId> chunk;
-        if (wholeEpoch.has_value()) {
-          const auto [lo, hi] = runtime::blockRange(tokens.size(), rounds, s);
-          chunk = tokens.subspan(lo, hi - lo);
-        } else {
-          ctx.computeTimer().start();
-          chunk = feeder.round(s);
-          ctx.computeTimer().stop();
-        }
+        // The round's worklist (a zero-copy subspan or a bounded chunk
+        // drain), charged as host compute.
+        ctx.computeTimer().start();
+        const std::span<const text::WordId> chunk = feeder.round(s);
+        ctx.computeTimer().stop();
 
         if (pull) {
           // Inspection is host CPU work — it is PullModel's overhead and is
@@ -378,36 +300,23 @@ TrainResult GraphWord2Vec::train(text::CorpusSource& source,
           util::Rng rng(threadSeed(epoch, s, t));
           double loss = 0.0;
           std::uint64_t examples = 0;
-          if (cbow) {
-            forEachCbowStep(chunk.subspan(lo, hi - lo), opts_.sgns, subsampler, negSampler,
-                            rng,
-                            [&](text::WordId center, std::span<const text::WordId> contexts,
-                                std::span<const text::WordId> negs) {
-                              loss += cbowStep(model, center, contexts, negs, alpha, sigmoid,
-                                               cbowScratch[t], opts_.trackLoss);
-                              ++examples;
-                            });
-          } else if (hs) {
-            forEachTrainingStep(
-                chunk.subspan(lo, hi - lo), driverParams, subsampler, negSampler, rng,
-                [&](text::WordId center, text::WordId context,
-                    std::span<const text::WordId>) {
-                  loss += hsStep(model, center, context, *huffman, alpha, sigmoid,
+          forEachTrainingBatch(
+              chunk.subspan(lo, hi - lo), driverParams, batch, subsampler, negSampler, rng,
+              [&](text::WordId center, std::span<const text::WordId> contexts,
+                  std::span<const text::WordId> negs) {
+                if (cbow) {
+                  loss += cbowStep(model, center, contexts, negs, alpha, sigmoid,
+                                   cbowScratch[t], opts_.trackLoss);
+                } else if (hs) {
+                  loss += hsStep(model, center, contexts[0], *huffman, alpha, sigmoid,
                                  scratch[t], opts_.trackLoss);
-                  ++examples;
-                });
-          } else {
-            // Both the Hogwild (threads) and distributed (hosts) paths go
-            // through the batched kernel; batch == 1 delegates to sgnsStep.
-            forEachTrainingBatch(
-                chunk.subspan(lo, hi - lo), driverParams, batch, subsampler, negSampler, rng,
-                [&](text::WordId center, std::span<const text::WordId> contexts,
-                    std::span<const text::WordId> negs) {
+                } else {
+                  // batch == 1 delegates to the per-pair sgnsStep.
                   loss += sgnsStepBatched(model, center, contexts, negs, alpha, sigmoid,
                                           batchScratch[t], opts_.trackLoss);
-                  examples += contexts.size();
-                });
-          }
+                }
+                examples += cbow ? 1 : contexts.size();
+              });
           lossAcc.local(t) += loss;
           exampleAcc.local(t) += examples;
         });
@@ -448,8 +357,7 @@ TrainResult GraphWord2Vec::train(text::CorpusSource& source,
       sync.sync(none);
     }
     perHostExamples[host] = hostExamples;
-    perHostScratchPeak[host] =
-        feeder.bufferedBytesPeak() + shuffled.capacity() * sizeof(text::WordId);
+    perHostScratchPeak[host] = feeder.bufferedBytesPeak();
   };
 
   sim::ClusterOptions copts;

@@ -47,19 +47,6 @@ struct TrainOptions {
   std::uint64_t seed = 42;
   /// Collect SGNS loss during training (small overhead; on by default).
   bool trackLoss = true;
-  /// Shuffle training order before every epoch (the standard SGD trick
-  /// Section 2.2 mentions). Contract, by ingestion path:
-  ///  - Materialized (span / SpanCorpusSource) shards: the host's whole
-  ///    worklist is Fisher-Yates shuffled in place before each epoch,
-  ///    deterministic per (seed, host, epoch) and cumulative across epochs —
-  ///    unchanged from the pre-streaming API, bit-for-bit.
-  ///  - Streaming shards: a full-worklist shuffle would require materializing
-  ///    the epoch, so each pulled chunk is shuffled *within itself* instead,
-  ///    deterministic per (seed, host, epoch, chunk index). Training bits
-  ///    therefore depend on the producer's chunk size when this is set (with
-  ///    it off, streaming is bit-identical to the materialized path at any
-  ///    chunk size).
-  bool shuffleEachEpoch = false;
   /// Learning-rate floor as a fraction of the initial rate (word2vec.c: 1e-4).
   float minAlphaFraction = 1e-4f;
   sim::NetworkModel netModel{};
@@ -112,18 +99,20 @@ class GraphWord2Vec {
 
   /// Train on a materialized id-encoded corpus (Algorithm 1 end-to-end:
   /// partition, replicate, train, synchronize). Thread-safe w.r.t. other
-  /// instances. Wraps the corpus in a SpanCorpusSource; bit-identical to the
-  /// pre-streaming API.
+  /// instances. Validates every id up front, then wraps the corpus in a
+  /// SpanCorpusSource.
   TrainResult train(std::span<const text::WordId> corpus,
                     const EpochObserver& observer = nullptr) const;
 
   /// Train from a pull-based corpus source (one shard per host; shard h
   /// feeds host h's worklist). Each sync round consumes its blockRange share
   /// of the shard's tokensPerEpoch(), assembled from whatever chunks the
-  /// source yields — materialized shards take the exact pre-streaming code
-  /// path (round = zero-copy subspan), streaming shards are drained
-  /// concurrently with production (bounded scratch, backpressure upstream).
-  /// The source is reused across epochs via CorpusShard::beginEpoch.
+  /// source yields: a round inside one chunk is a zero-copy subspan (every
+  /// round of a materialized shard, whose epoch is one chunk), a round
+  /// spanning chunks is stitched into bounded scratch while the producer
+  /// keeps running (backpressure upstream). The bits do not depend on the
+  /// chunk sizes. The source is reused across epochs via
+  /// CorpusShard::beginEpoch.
   TrainResult train(text::CorpusSource& source,
                     const EpochObserver& observer = nullptr) const;
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "runtime/do_all.h"
-#include "runtime/per_thread.h"
 #include "runtime/work_queue.h"
 
 namespace gw2v::graph {
@@ -110,52 +109,6 @@ std::vector<float> ssspWorklist(const CSRGraph& g, NodeId source, runtime::Threa
   return out;
 }
 
-std::vector<float> ssspDeltaStepping(const CSRGraph& g, NodeId source,
-                                     runtime::ThreadPool& pool, float delta) {
-  std::vector<std::atomic<float>> dist(g.numNodes());
-  for (auto& d : dist) d.store(kInfDistance, std::memory_order_relaxed);
-  if (g.numNodes() == 0) return {};
-  dist[source].store(0.0f, std::memory_order_relaxed);
-
-  // Buckets keyed by floor(dist/delta); lazily grown. A node may appear in
-  // several buckets — stale entries are filtered on pop (dist check).
-  std::vector<std::vector<NodeId>> buckets(1);
-  buckets[0].push_back(source);
-  const auto bucketOf = [&](float d) {
-    return static_cast<std::size_t>(d / delta);
-  };
-
-  for (std::size_t b = 0; b < buckets.size(); ++b) {
-    // The current bucket may refill with light-edge relaxations; iterate to
-    // fixpoint before moving on.
-    while (!buckets[b].empty()) {
-      std::vector<NodeId> frontier = std::move(buckets[b]);
-      buckets[b] = {};
-      runtime::WorkQueue<std::pair<NodeId, float>> relaxed;
-      runtime::doAll(pool, 0, frontier.size(), [&](std::uint64_t i) {
-        const NodeId u = frontier[i];
-        const float du = dist[u].load(std::memory_order_relaxed);
-        if (bucketOf(du) != b) return;  // stale entry
-        const auto nbrs = g.neighbors(u);
-        const auto w = g.weights(u);
-        for (std::size_t e = 0; e < nbrs.size(); ++e) {
-          const float cand = du + w[e];
-          if (atomicMinFloat(dist[nbrs[e]], cand)) relaxed.push({nbrs[e], cand});
-        }
-      });
-      for (const auto& [v, dv] : relaxed.drain()) {
-        const std::size_t target = bucketOf(dv);
-        if (target >= buckets.size()) buckets.resize(target + 1);
-        buckets[target].push_back(v);
-      }
-    }
-  }
-
-  std::vector<float> out(g.numNodes());
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = dist[i].load(std::memory_order_relaxed);
-  return out;
-}
-
 std::vector<double> pagerank(const CSRGraph& g, runtime::ThreadPool& pool, double d, double tol,
                              int maxIters) {
   const std::size_t n = g.numNodes();
@@ -203,46 +156,6 @@ std::vector<double> pagerank(const CSRGraph& g, runtime::ThreadPool& pool, doubl
   return rank;
 }
 
-std::vector<double> pagerankPull(const CSRGraph& transposed, std::span<const EdgeId> outDegree,
-                                 runtime::ThreadPool& pool, double d, double tol,
-                                 int maxIters) {
-  const std::size_t n = transposed.numNodes();
-  std::vector<double> rank(n, n > 0 ? 1.0 / static_cast<double>(n) : 0.0);
-  std::vector<double> next(n, 0.0);
-  if (n == 0) return rank;
-
-  for (int iter = 0; iter < maxIters; ++iter) {
-    double dangling = 0.0;
-    for (NodeId u = 0; u < n; ++u) {
-      if (outDegree[u] == 0) dangling += rank[u];
-    }
-    const double base =
-        (1.0 - d) / static_cast<double>(n) + d * dangling / static_cast<double>(n);
-
-    // Each node owns its accumulation: no races, no scratch.
-    runtime::PerThread<double> residuals(pool.numThreads(), 0.0);
-    pool.onEach([&](unsigned tid) {
-      const auto [lo, hi] = runtime::blockRange(n, pool.numThreads(), tid);
-      double localResidual = 0.0;
-      for (std::uint64_t vi = lo; vi < hi; ++vi) {
-        const NodeId v = static_cast<NodeId>(vi);
-        double gathered = 0.0;
-        for (const NodeId u : transposed.neighbors(v)) {
-          gathered += rank[u] / static_cast<double>(outDegree[u]);
-        }
-        next[v] = base + d * gathered;
-        localResidual += std::abs(next[v] - rank[v]);
-      }
-      residuals.local(tid) += localResidual;
-    });
-    rank.swap(next);
-    const double residual =
-        residuals.reduce(0.0, [](double a, double b) { return a + b; });
-    if (residual < tol) break;
-  }
-  return rank;
-}
-
 std::vector<NodeId> connectedComponents(const CSRGraph& g, runtime::ThreadPool& pool) {
   const NodeId n = g.numNodes();
   std::vector<std::atomic<std::uint32_t>> comp(n);
@@ -276,90 +189,6 @@ std::vector<NodeId> connectedComponents(const CSRGraph& g, runtime::ThreadPool& 
   std::vector<NodeId> out(n);
   for (NodeId i = 0; i < n; ++i) out[i] = comp[i].load(std::memory_order_relaxed);
   return out;
-}
-
-std::vector<std::uint32_t> coreNumbers(const CSRGraph& g, runtime::ThreadPool& pool) {
-  const NodeId n = g.numNodes();
-  std::vector<std::atomic<std::uint32_t>> degree(n);
-  for (NodeId i = 0; i < n; ++i)
-    degree[i].store(static_cast<std::uint32_t>(g.degree(i)), std::memory_order_relaxed);
-  std::vector<std::uint32_t> core(n, 0);
-  std::vector<std::uint8_t> removed(n, 0);
-
-  // Peel: repeatedly remove all nodes of degree <= k, assigning core k.
-  NodeId alive = n;
-  std::uint32_t k = 0;
-  while (alive > 0) {
-    runtime::WorkQueue<NodeId> peel;
-    runtime::doAll(pool, 0, n, [&](std::uint64_t i) {
-      if (!removed[i] && degree[i].load(std::memory_order_relaxed) <= k) {
-        peel.push(static_cast<NodeId>(i));
-      }
-    });
-    std::vector<NodeId> wave = peel.drain();
-    if (wave.empty()) {
-      ++k;
-      continue;
-    }
-    while (!wave.empty()) {
-      std::vector<NodeId> next;
-      for (const NodeId u : wave) {
-        if (removed[u]) continue;
-        removed[u] = 1;
-        core[u] = k;
-        --alive;
-        for (const NodeId v : g.neighbors(u)) {
-          if (removed[v]) continue;
-          const std::uint32_t before =
-              degree[v].fetch_sub(1, std::memory_order_relaxed);
-          if (before - 1 <= k) next.push_back(v);
-        }
-      }
-      wave = std::move(next);
-    }
-  }
-  return core;
-}
-
-std::uint64_t countTriangles(const CSRGraph& g, runtime::ThreadPool& pool) {
-  // Orient edges from lower to higher degree (ties by id) and intersect
-  // out-neighbourhoods — the standard work-optimal counting scheme.
-  const NodeId n = g.numNodes();
-  const auto rank = [&](NodeId a, NodeId b) {
-    const EdgeId da = g.degree(a), db = g.degree(b);
-    return da != db ? da < db : a < b;
-  };
-  std::vector<std::vector<NodeId>> out(n);
-  for (NodeId u = 0; u < n; ++u) {
-    for (const NodeId v : g.neighbors(u)) {
-      if (u != v && rank(u, v)) out[u].push_back(v);
-    }
-    std::sort(out[u].begin(), out[u].end());
-    out[u].erase(std::unique(out[u].begin(), out[u].end()), out[u].end());
-  }
-
-  std::atomic<std::uint64_t> total{0};
-  runtime::doAll(pool, 0, n, [&](std::uint64_t ui) {
-    const NodeId u = static_cast<NodeId>(ui);
-    std::uint64_t local = 0;
-    for (const NodeId v : out[u]) {
-      // |out[u] ∩ out[v]| via merge (both sorted).
-      std::size_t i = 0, j = 0;
-      while (i < out[u].size() && j < out[v].size()) {
-        if (out[u][i] == out[v][j]) {
-          ++local;
-          ++i;
-          ++j;
-        } else if (out[u][i] < out[v][j]) {
-          ++i;
-        } else {
-          ++j;
-        }
-      }
-    }
-    total.fetch_add(local, std::memory_order_relaxed);
-  });
-  return total.load();
 }
 
 }  // namespace gw2v::graph

@@ -30,34 +30,13 @@ std::vector<float> sssp(const CSRGraph& g, NodeId source, runtime::ThreadPool& p
 /// Data-driven (worklist) SSSP; identical results, different schedule.
 std::vector<float> ssspWorklist(const CSRGraph& g, NodeId source, runtime::ThreadPool& pool);
 
-/// Delta-stepping SSSP (the data-driven bucketed schedule Section 2.4 names):
-/// active nodes live in buckets of width `delta`; light relaxations stay in
-/// the current bucket, heavier ones land in later buckets.
-std::vector<float> ssspDeltaStepping(const CSRGraph& g, NodeId source,
-                                     runtime::ThreadPool& pool, float delta = 1.0f);
-
 /// Topology-driven PageRank with damping d, run until L1 residual < tol or
 /// maxIters rounds (push-style over the forward graph).
 std::vector<double> pagerank(const CSRGraph& g, runtime::ThreadPool& pool, double d = 0.85,
                              double tol = 1e-9, int maxIters = 100);
 
-/// Pull-style PageRank (Gemini's dense mode): each node gathers from its
-/// in-neighbours, race-free without per-thread scratch. Pass the transposed
-/// graph plus the forward graph's out-degrees.
-std::vector<double> pagerankPull(const CSRGraph& transposed,
-                                 std::span<const EdgeId> outDegree,
-                                 runtime::ThreadPool& pool, double d = 0.85,
-                                 double tol = 1e-9, int maxIters = 100);
-
 /// Connected components by pointer-jumping label propagation (treats the
 /// graph as undirected; callers should pass a symmetrized graph).
 std::vector<NodeId> connectedComponents(const CSRGraph& g, runtime::ThreadPool& pool);
-
-/// Per-node core number by iterative peeling (pass a symmetrized graph).
-std::vector<std::uint32_t> coreNumbers(const CSRGraph& g, runtime::ThreadPool& pool);
-
-/// Total triangle count (each triangle counted once; pass a symmetrized
-/// graph without parallel edges or self loops for exact results).
-std::uint64_t countTriangles(const CSRGraph& g, runtime::ThreadPool& pool);
 
 }  // namespace gw2v::graph

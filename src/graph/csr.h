@@ -67,8 +67,7 @@ class CSRGraph {
   std::vector<float> edgeWeight_;
 };
 
-/// Reverse every edge — gives the incoming-neighbour view pull-mode
-/// algorithms (Gemini-style) iterate over.
+/// Reverse every edge — the incoming-neighbour view of a directed graph.
 inline CSRGraph transpose(const CSRGraph& g) {
   std::vector<Edge> reversed;
   reversed.reserve(g.numEdges());

@@ -16,7 +16,7 @@ ClientCore::ClientCore(const PsConfig& cfg, graph::BlockedPartition serverPartit
     : cfg_(cfg), part_(std::move(serverPartition)), cache_(cfg.cacheRows) {
   if (cfg_.numRows == 0 || cfg_.dim == 0)
     throw std::invalid_argument("ClientCore: numRows/dim must be set");
-  useResidual_ = cfg_.codec != comm::SyncCodec::kFp32 && cfg_.pushErrorFeedback;
+  useResidual_ = cfg_.codec != comm::SyncCodec::kFp32;
   if (useResidual_)
     for (int l = 0; l < graph::kNumLabels; ++l) pushResidual_[l].init(cfg_.numRows, cfg_.dim);
   delta_.resize(cfg_.dim);
@@ -137,13 +137,13 @@ void ClientCore::packAdds(const graph::ModelGraph& local, std::uint64_t clock,
         });
   }
 
-  const std::uint32_t chunkRows = std::max<std::uint32_t>(1, cfg_.pushChunkRows);
   for (unsigned s = 0; s < servers; ++s) {
     const std::size_t n = entries[s].size();
-    const std::size_t chunks = std::max<std::size_t>(1, (n + chunkRows - 1) / chunkRows);
+    const std::size_t chunks =
+        std::max<std::size_t>(1, (n + kPushChunkRows - 1) / kPushChunkRows);
     for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t lo = c * chunkRows;
-      const std::size_t hi = std::min(n, lo + chunkRows);
+      const std::size_t lo = c * kPushChunkRows;
+      const std::size_t hi = std::min<std::size_t>(n, lo + kPushChunkRows);
       comm::ByteWriter w;
       w.put(clock);
       w.put(static_cast<std::uint8_t>(c + 1 == chunks ? 1 : 0));

@@ -66,17 +66,18 @@ struct PsConfig {
   /// r - r mod (s+1), so reads are up to s clocks stale and workers drift up
   /// to s rounds apart without blocking. s = 0 is BSP (every round a window).
   unsigned staleness = 0;
+  /// Wire codec for Add deltas and Get replies. Lossy codecs always carry
+  /// error-feedback residuals on both sides (client push, server reply).
   comm::SyncCodec codec = comm::SyncCodec::kFp32;
-  bool pushErrorFeedback = true;
-  bool replyErrorFeedback = true;
   /// Client row-cache capacity in rows (0 disables). Affects wire bytes
   /// only, never model bits: a cached row is byte-identical to what the
   /// server would re-send at the same version.
   std::size_t cacheRows = 4096;
-  /// Rows per pipelined Add chunk (the push is cut into this many-row
-  /// messages so encode and transfer overlap on the modelled NIC).
-  std::uint32_t pushChunkRows = 512;
 };
+
+/// Rows per pipelined Add chunk (the push is cut into messages of this many
+/// rows so encode and transfer overlap on the modelled NIC).
+inline constexpr std::uint32_t kPushChunkRows = 512;
 
 // ---- Envelope ----
 

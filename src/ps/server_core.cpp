@@ -31,7 +31,7 @@ ServerCore::ServerCore(const PsConfig& cfg, std::pair<std::uint32_t, std::uint32
     for (int l = 0; l < graph::kNumLabels; ++l) {
       replyCache_[l].resize(static_cast<std::size_t>(own) * vb);
       replyCacheValid_[l].resize(own);
-      if (cfg_.replyErrorFeedback) replyResidual_[l].init(cfg_.numRows, cfg_.dim);
+      replyResidual_[l].init(cfg_.numRows, cfg_.dim);
     }
   }
   acc_.resize(cfg_.dim);
@@ -172,15 +172,11 @@ void ServerCore::encodeForReply(int label, std::uint32_t row) {
   std::uint8_t* out =
       replyCache_[label].data() + static_cast<std::size_t>(row - ownRange_.first) * vb;
   const std::span<const float> canon = canon_.row(asLabel(label), row);
-  if (cfg_.replyErrorFeedback) {
-    const auto res = replyResidual_[label].untrackedRow(row);
-    for (std::uint32_t i = 0; i < cfg_.dim; ++i) owe_[i] = canon[i] + res[i];
-    comm::encodeRowValues(cfg_.codec, owe_, out);
-    comm::decodeRowValues(cfg_.codec, out, dec_);
-    for (std::uint32_t i = 0; i < cfg_.dim; ++i) res[i] = owe_[i] - dec_[i];
-  } else {
-    comm::encodeRowValues(cfg_.codec, canon, out);
-  }
+  const auto res = replyResidual_[label].untrackedRow(row);
+  for (std::uint32_t i = 0; i < cfg_.dim; ++i) owe_[i] = canon[i] + res[i];
+  comm::encodeRowValues(cfg_.codec, owe_, out);
+  comm::decodeRowValues(cfg_.codec, out, dec_);
+  for (std::uint32_t i = 0; i < cfg_.dim; ++i) res[i] = owe_[i] - dec_[i];
   replyCacheValid_[label].set(row - ownRange_.first);
 }
 

@@ -36,7 +36,7 @@
 // the version key the client cache invalidates against.
 //
 // For lossy codecs replies are encoded once per (row, version) into a reply
-// cache, with optional server-side error-feedback residuals: at fold time
+// cache, with server-side error-feedback residuals: at fold time
 // owe = canonical + residual, the cache stores Q(owe), and
 // residual' = owe - decode(Q(owe)). Every requester of a version gets the
 // same bytes, so a worker's cached copy never diverges from a re-send.
@@ -139,7 +139,7 @@ class ServerCore {
   bool serveReady(const Emit& emit);
   void serve(unsigned worker, ParkedGet& g, const Emit& emit);
   /// (Re-)encode one row of one label into the reply cache, folding the
-  /// reply residual when enabled. Idempotent per (row, version).
+  /// reply residual. Idempotent per (row, version).
   void encodeForReply(int label, std::uint32_t row);
   /// Base of `round`'s staleness window of cfg_.staleness + 1 rounds.
   std::uint64_t neededLevel(std::uint64_t round) const noexcept {
@@ -162,7 +162,7 @@ class ServerCore {
   std::vector<std::uint8_t> done_;
   unsigned doneCount_ = 0;
 
-  // Lossy-codec reply path: encode-once cache + optional EF residuals,
+  // Lossy-codec reply path: encode-once cache + EF residuals,
   // own-range rows only.
   std::vector<std::uint8_t> replyCache_[graph::kNumLabels];
   util::BitVector replyCacheValid_[graph::kNumLabels];

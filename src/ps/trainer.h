@@ -43,12 +43,8 @@ struct PsTrainOptions {
   unsigned staleness = 0;
   core::Reduction reduction = core::Reduction::kModelCombiner;
   comm::SyncCodec codec = comm::SyncCodec::kFp32;
-  bool pushErrorFeedback = true;
-  bool replyErrorFeedback = true;
   /// Client row-cache capacity (rows; 0 disables). Wire bytes only.
   std::size_t cacheRows = 4096;
-  /// Rows per pipelined Add chunk.
-  std::uint32_t pushChunkRows = 512;
   bool trackLoss = true;
   std::uint64_t seed = 42;
   float minAlphaFraction = 1e-4f;

@@ -65,10 +65,7 @@ inline PsConfig protocolConfig(const PsTrainOptions& opts, std::uint32_t vocabSi
   cfg.dim = opts.sgns.dim;
   cfg.staleness = opts.staleness;
   cfg.codec = opts.codec;
-  cfg.pushErrorFeedback = opts.pushErrorFeedback;
-  cfg.replyErrorFeedback = opts.replyErrorFeedback;
   cfg.cacheRows = opts.cacheRows;
-  cfg.pushChunkRows = opts.pushChunkRows;
   return cfg;
 }
 
@@ -97,11 +94,12 @@ class WorkerState {
   const std::vector<std::uint32_t>& inspect(std::uint64_t round) {
     access_.reset();
     util::Rng rng(rngSeed(round));
-    core::forEachTrainingStep(
-        chunk(round), opts_.sgns, env_.subsampler, env_.negSampler, rng,
-        [&](text::WordId center, text::WordId context, std::span<const text::WordId> negs) {
+    core::forEachTrainingBatch(
+        chunk(round), opts_.sgns, 1, env_.subsampler, env_.negSampler, rng,
+        [&](text::WordId center, std::span<const text::WordId> contexts,
+            std::span<const text::WordId> negs) {
           access_.set(center);
-          access_.set(context);
+          access_.set(contexts[0]);
           for (const auto n : negs) access_.set(n);
         });
     accessList_.clear();
@@ -117,11 +115,12 @@ class WorkerState {
     const float alpha = opts_.sgns.alpha * std::max(frac, opts_.minAlphaFraction);
     util::Rng rng(rngSeed(round));
     double loss = 0.0;
-    core::forEachTrainingStep(
-        chunk(round), opts_.sgns, env_.subsampler, env_.negSampler, rng,
-        [&](text::WordId center, text::WordId context, std::span<const text::WordId> negs) {
-          loss += core::sgnsStep(local_, center, context, negs, alpha, env_.sigmoid, scratch_,
-                                 opts_.trackLoss);
+    core::forEachTrainingBatch(
+        chunk(round), opts_.sgns, 1, env_.subsampler, env_.negSampler, rng,
+        [&](text::WordId center, std::span<const text::WordId> contexts,
+            std::span<const text::WordId> negs) {
+          loss += core::sgnsStep(local_, center, contexts[0], negs, alpha, env_.sigmoid,
+                                 scratch_, opts_.trackLoss);
           ++examples_;
         });
     return loss;

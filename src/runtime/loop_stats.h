@@ -1,42 +1,13 @@
 #pragma once
 
-// Lightweight per-loop counters (iterations executed, conflicts, pushes) in
-// the style of Galois' LoopStatistics, plus per-phase wall-clock buckets for
-// the sync critical path. Aggregated across threads on demand.
+// Per-phase wall-clock buckets for the sync critical path, in the per-thread
+// style of Galois' LoopStatistics. Aggregated across threads on demand.
 
 #include <cstdint>
 
 #include "runtime/per_thread.h"
 
 namespace gw2v::runtime {
-
-struct LoopCounters {
-  std::uint64_t iterations = 0;
-  std::uint64_t pushes = 0;
-};
-
-class LoopStats {
- public:
-  explicit LoopStats(unsigned numThreads) : counters_(numThreads) {}
-
-  void recordIteration(unsigned tid, std::uint64_t n = 1) noexcept {
-    counters_.local(tid).iterations += n;
-  }
-  void recordPush(unsigned tid, std::uint64_t n = 1) noexcept {
-    counters_.local(tid).pushes += n;
-  }
-
-  LoopCounters total() const {
-    return counters_.reduce(LoopCounters{}, [](LoopCounters acc, const LoopCounters& c) {
-      acc.iterations += c.iterations;
-      acc.pushes += c.pushes;
-      return acc;
-    });
-  }
-
- private:
-  PerThread<LoopCounters> counters_;
-};
 
 /// Stages of a model-sync round (comm::SyncEngine); also the bucket order of
 /// SyncPhaseSeconds below.
@@ -64,8 +35,8 @@ struct SyncPhaseSeconds {
   double total() const noexcept { return pack + exchange + fold + apply; }
 };
 
-/// LoopStats' per-thread shape applied to time: each worker accumulates wall
-/// seconds into phase buckets, reduced on demand. The sync engine records
+/// Each worker accumulates wall seconds into phase buckets, reduced on
+/// demand. The sync engine records
 /// from the host thread (tid 0); worker-side recording uses the same cells.
 class PhaseStats {
  public:

@@ -1,7 +1,7 @@
 #pragma once
 
 // Chunked MPMC work queue — the Galois "chunked FIFO" worklist used by
-// data-driven graph algorithms (e.g. delta-stepping SSSP buckets).
+// data-driven graph algorithms (e.g. the BFS and worklist-SSSP frontiers).
 //
 // Items are pushed/popped in fixed-size chunks to amortize the lock; this is
 // deliberately a simple mutex-based structure (the graph-analytics validation

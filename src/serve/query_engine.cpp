@@ -175,7 +175,7 @@ void QueryEngine::runCoordinator() {
     if (batch.empty()) {
       BatchHeader stop;
       stop.stop = 1;
-      coll_.broadcast(std::span<BatchHeader>(&stop, 1), 0, comm::CollectiveAlgo::kAuto,
+      coll_.broadcast(std::span<BatchHeader>(&stop, 1), 0,
                       sim::CommPhase::kControl);
       break;
     }
@@ -229,9 +229,9 @@ void QueryEngine::runCoordinator() {
     h.dim = snap.dim();
     h.payloadBytes = static_cast<std::uint32_t>(payload.size());
     h.version = snap.version();
-    coll_.broadcast(std::span<BatchHeader>(&h, 1), 0, comm::CollectiveAlgo::kAuto,
+    coll_.broadcast(std::span<BatchHeader>(&h, 1), 0,
                     sim::CommPhase::kControl);
-    coll_.broadcast(std::span<std::uint8_t>(payload), 0, comm::CollectiveAlgo::kAuto,
+    coll_.broadcast(std::span<std::uint8_t>(payload), 0,
                     sim::CommPhase::kBroadcast);
     metrics_.batches.fetch_add(1, std::memory_order_relaxed);
     metrics_.batchedQueries.fetch_add(live.size(), std::memory_order_relaxed);
@@ -329,11 +329,11 @@ void QueryEngine::runWorker() {
 
   for (;;) {
     BatchHeader h;
-    coll_.broadcast(std::span<BatchHeader>(&h, 1), 0, comm::CollectiveAlgo::kAuto,
+    coll_.broadcast(std::span<BatchHeader>(&h, 1), 0,
                     sim::CommPhase::kControl);
     if (h.stop != 0) break;
     std::vector<std::uint8_t> payload(h.payloadBytes);
-    coll_.broadcast(std::span<std::uint8_t>(payload), 0, comm::CollectiveAlgo::kAuto,
+    coll_.broadcast(std::span<std::uint8_t>(payload), 0,
                     sim::CommPhase::kBroadcast);
     refreshPin(pin, index);
     if (h.dim != pin->dim())

@@ -19,13 +19,8 @@
 //    partially-consumed previous epoch.
 //  - nextChunk() returns the next span (empty at end of epoch). The span
 //    stays valid until the next nextChunk()/beginEpoch() call on that shard.
-//  - materializedEpoch(): shards backed by resident memory return the whole
-//    epoch as one span, stable for the shard's lifetime. The trainer uses
-//    this to keep the pre-refactor span semantics (including whole-worklist
-//    epoch shuffling) bit-identical.
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -46,12 +41,6 @@ class CorpusShard {
   /// Next chunk of the current epoch; empty once tokensPerEpoch() tokens
   /// have been yielded. Valid until the next nextChunk()/beginEpoch().
   virtual std::span<const WordId> nextChunk() = 0;
-
-  /// Non-empty for memory-resident shards: the whole epoch, stable for the
-  /// shard's lifetime (every epoch replays the same tokens).
-  virtual std::optional<std::span<const WordId>> materializedEpoch() const {
-    return std::nullopt;
-  }
 };
 
 class CorpusSource {
@@ -96,9 +85,6 @@ class SpanCorpusSource final : public CorpusSource {
     std::span<const WordId> nextChunk() override {
       if (served_) return {};
       served_ = true;
-      return tokens_;
-    }
-    std::optional<std::span<const WordId>> materializedEpoch() const override {
       return tokens_;
     }
 

@@ -1,7 +1,9 @@
 // Regression lock for the model-state refactor: sync payload volumes and
 // end-of-training model bits must be identical to the pre-refactor dense
 // baseline_ path for SGNS + CBOW at H in {1,2,4,8} under all three
-// SyncStrategy variants, plus a scripted per-round SyncEngine drive.
+// SyncStrategy variants, plus a scripted per-round SyncEngine drive. A
+// second set of entries locks every other trainer that drives the SGNS edge
+// stream (hierarchical softmax, shared-memory, column-parallel, async PS).
 //
 // Goldens in tests/golden/sync_regression.txt were generated by the
 // pre-refactor SyncEngine (dense per-label baseline_ copies). Regenerate
@@ -20,9 +22,12 @@
 #include <string>
 #include <vector>
 
+#include "baselines/column_parallel.h"
+#include "baselines/shared_memory.h"
 #include "comm/reducer.h"
 #include "comm/sync_engine.h"
 #include "core/trainer.h"
+#include "ps/trainer.h"
 #include "sim/cluster.h"
 #include "text/vocabulary.h"
 #include "util/rng.h"
@@ -184,6 +189,100 @@ TEST(SyncRegression, BatchedKernelLocked) {
     const core::TrainResult r = trainer.train(corpus);
     std::ostringstream name;
     name << "sgns_b4_H" << hosts << "_Opt";
+    golden.check(name.str(), r.cluster.totalBytes(), modelHash(r.model));
+  }
+}
+
+/// Every other caller of forEachTrainingBatch: hierarchical softmax
+/// through GraphWord2Vec, plus the shared-memory, column-parallel and
+/// parameter-server trainers. Subsampling and short sentences are on so the
+/// sentence fill is locked too. One worker thread per host keeps each run
+/// deterministic and race-free; entries without a cluster record 0 bytes.
+TEST(SyncRegression, EveryTrainerLocked) {
+  Golden golden;
+  const std::uint32_t kWords = 60;
+  const text::Vocabulary vocab = makeVocab(kWords);
+  const std::vector<text::WordId> corpus = makeCorpus(kWords, 3000, 55);
+  core::SgnsParams sgns;
+  sgns.dim = 16;
+  sgns.window = 3;
+  sgns.negatives = 5;
+  sgns.subsample = 1e-3;
+  sgns.maxSentence = 200;
+
+  for (const unsigned hosts : {1u, 2u, 4u}) {
+    for (const comm::SyncStrategy strategy : kStrategies) {
+      core::TrainOptions o;
+      o.sgns = sgns;
+      o.sgns.objective = core::Objective::kHierarchicalSoftmax;
+      o.epochs = 2;
+      o.numHosts = hosts;
+      o.strategy = strategy;
+      o.seed = 2468;
+      o.trackLoss = false;
+      const core::TrainResult r = core::GraphWord2Vec(vocab, o).train(corpus);
+      std::ostringstream name;
+      name << "hs_H" << hosts << "_" << comm::syncStrategyName(strategy);
+      golden.check(name.str(), r.cluster.totalBytes(), modelHash(r.model));
+    }
+  }
+
+  const struct {
+    const char* name;
+    core::Architecture architecture;
+    core::Objective objective;
+  } kShared[] = {
+      {"shared_sgns_T1", core::Architecture::kSkipGram, core::Objective::kNegativeSampling},
+      {"shared_cbow_T1", core::Architecture::kCbow, core::Objective::kNegativeSampling},
+      {"shared_hs_T1", core::Architecture::kSkipGram, core::Objective::kHierarchicalSoftmax},
+  };
+  for (const auto& c : kShared) {
+    baselines::SharedMemoryOptions o;
+    o.sgns = sgns;
+    o.sgns.architecture = c.architecture;
+    o.sgns.objective = c.objective;
+    o.epochs = 2;
+    o.threads = 1;
+    o.seed = 1357;
+    o.trackLoss = false;
+    golden.check(c.name, 0, modelHash(baselines::trainHogwild(vocab, corpus, o).model));
+  }
+
+  {
+    baselines::BatchedOptions o;
+    o.sgns = sgns;
+    o.epochs = 2;
+    o.batchExamples = 64;
+    o.seed = 9753;
+    o.trackLoss = false;
+    golden.check("batched_sgns", 0, modelHash(baselines::trainBatched(vocab, corpus, o).model));
+  }
+
+  {
+    baselines::ColumnParallelOptions o;
+    o.sgns = sgns;
+    o.epochs = 2;
+    o.numHosts = 2;
+    o.batchExamples = 64;
+    o.seed = 8642;
+    o.trackLoss = false;
+    const auto r = baselines::trainColumnParallel(vocab, corpus, o);
+    golden.check("column_sgns_H2", r.cluster.totalBytes(), modelHash(r.model));
+  }
+
+  for (const unsigned staleness : {0u, 2u}) {
+    ps::PsTrainOptions o;
+    o.sgns = sgns;
+    o.epochs = 2;
+    o.roundsPerEpoch = 4;
+    o.numHosts = 4;
+    o.staleness = staleness;
+    o.codec = comm::SyncCodec::kInt8;
+    o.seed = 3141;
+    o.trackLoss = false;
+    const ps::PsResult r = ps::trainAsyncPs(vocab, corpus, o);
+    std::ostringstream name;
+    name << "ps_int8_s" << staleness;
     golden.check(name.str(), r.cluster.totalBytes(), modelHash(r.model));
   }
 }

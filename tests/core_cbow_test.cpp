@@ -91,8 +91,10 @@ TEST(CbowDriver, SkipsEmptyWindows) {
   util::Rng rng(1);
   int calls = 0;
   const std::vector<WordId> one{2};
-  forEachCbowStep(one, p, sub, neg, rng,
-                  [&](WordId, std::span<const WordId>, std::span<const WordId>) { ++calls; });
+  forEachTrainingBatch(one, p, 2 * p.window, sub, neg, rng,
+                       [&](WordId, std::span<const WordId>, std::span<const WordId>) {
+                         ++calls;
+                       });
   EXPECT_EQ(calls, 0);
 }
 
@@ -107,19 +109,28 @@ TEST(CbowDriver, ContextsWithinWindowAndNegativesValid) {
   util::Rng rng(2);
   std::vector<WordId> tokens;
   for (WordId i = 0; i < 60; ++i) tokens.push_back(i);
-  forEachCbowStep(tokens, p, sub, neg, rng,
-                  [&](WordId center, std::span<const WordId> ctxs,
-                      std::span<const WordId> negs) {
-                    EXPECT_FALSE(ctxs.empty());
-                    EXPECT_LE(ctxs.size(), 8u);
-                    for (const WordId c : ctxs) {
-                      const int dist = std::abs(static_cast<int>(c) - static_cast<int>(center));
-                      EXPECT_GE(dist, 1);
-                      EXPECT_LE(dist, 4);
-                    }
-                    EXPECT_EQ(negs.size(), 3u);
-                    for (const WordId n : negs) EXPECT_NE(n, center);
-                  });
+  WordId lastCenter = 0;
+  std::size_t examples = 0;
+  forEachTrainingBatch(tokens, p, 2 * p.window, sub, neg, rng,
+                       [&](WordId center, std::span<const WordId> ctxs,
+                           std::span<const WordId> negs) {
+                         // One example per center: the batch is the whole window.
+                         if (examples++ > 0) {
+                           EXPECT_GT(center, lastCenter);
+                         }
+                         lastCenter = center;
+                         EXPECT_FALSE(ctxs.empty());
+                         EXPECT_LE(ctxs.size(), 8u);
+                         for (const WordId c : ctxs) {
+                           const int dist =
+                               std::abs(static_cast<int>(c) - static_cast<int>(center));
+                           EXPECT_GE(dist, 1);
+                           EXPECT_LE(dist, 4);
+                         }
+                         EXPECT_EQ(negs.size(), 3u);
+                         for (const WordId n : negs) EXPECT_NE(n, center);
+                       });
+  EXPECT_EQ(examples, tokens.size());
 }
 
 TEST(CbowDriver, DeterministicForSeed) {
@@ -137,13 +148,13 @@ TEST(CbowDriver, DeterministicForSeed) {
   const auto collect = [&](std::uint64_t seed) {
     util::Rng rng(seed);
     std::vector<WordId> trace;
-    forEachCbowStep(tokens, p, sub, neg, rng,
-                    [&](WordId center, std::span<const WordId> ctxs,
-                        std::span<const WordId> negs) {
-                      trace.push_back(center);
-                      trace.insert(trace.end(), ctxs.begin(), ctxs.end());
-                      trace.insert(trace.end(), negs.begin(), negs.end());
-                    });
+    forEachTrainingBatch(tokens, p, 2 * p.window, sub, neg, rng,
+                         [&](WordId center, std::span<const WordId> ctxs,
+                             std::span<const WordId> negs) {
+                           trace.push_back(center);
+                           trace.insert(trace.end(), ctxs.begin(), ctxs.end());
+                           trace.insert(trace.end(), negs.begin(), negs.end());
+                         });
     return trace;
   };
   EXPECT_EQ(collect(9), collect(9));

@@ -209,50 +209,6 @@ TEST(SgnsStepBatched, MarksTouchedRows) {
 
 // ---- the batch driver ----------------------------------------------------
 
-struct Pair {
-  WordId center, context;
-  std::vector<WordId> negs;
-};
-
-TEST(TrainingBatchDriver, BatchOneMatchesPerPairStreamExactly) {
-  SgnsParams p;
-  p.window = 4;
-  p.negatives = 5;
-  p.subsample = 1e-3;
-  const auto counts = uniformCounts(30);
-  const text::SubsampleFilter sub(counts, p.subsample);
-  const text::NegativeSampler neg(counts);
-  std::vector<WordId> tokens;
-  util::Rng corpusRng(13);
-  for (int i = 0; i < 800; ++i) tokens.push_back(static_cast<WordId>(corpusRng.bounded(30)));
-
-  std::vector<Pair> perPair;
-  {
-    util::Rng rng(99);
-    forEachTrainingStep(tokens, p, sub, neg, rng,
-                        [&](WordId c, WordId ctx, std::span<const WordId> negs) {
-                          perPair.push_back({c, ctx, {negs.begin(), negs.end()}});
-                        });
-  }
-  std::vector<Pair> batched;
-  {
-    util::Rng rng(99);
-    forEachTrainingBatch(tokens, p, /*batchSize=*/1, sub, neg, rng,
-                         [&](WordId c, std::span<const WordId> ctxs,
-                             std::span<const WordId> negs) {
-                           ASSERT_EQ(ctxs.size(), 1u);
-                           batched.push_back({c, ctxs[0], {negs.begin(), negs.end()}});
-                         });
-  }
-  ASSERT_EQ(perPair.size(), batched.size());
-  ASSERT_FALSE(perPair.empty());
-  for (std::size_t i = 0; i < perPair.size(); ++i) {
-    EXPECT_EQ(perPair[i].center, batched[i].center) << i;
-    EXPECT_EQ(perPair[i].context, batched[i].context) << i;
-    EXPECT_EQ(perPair[i].negs, batched[i].negs) << i;
-  }
-}
-
 TEST(TrainingBatchDriver, BatchesRespectCapAndShareNegatives) {
   SgnsParams p;
   p.window = 5;

@@ -115,7 +115,7 @@ TEST(SgnsStep, ZeroLossWhenNotCollected) {
   EXPECT_FLOAT_EQ(sgnsStep(m, 1, 0, {}, 0.025f, sigmoid, scratch, false), 0.0f);
 }
 
-// ---- forEachTrainingStep driver ----------------------------------------
+// ---- forEachTrainingBatch at batch size 1 (the per-pair stream) -------
 
 struct Step {
   WordId center, context;
@@ -128,10 +128,12 @@ std::vector<Step> collectSteps(std::span<const WordId> tokens, const SgnsParams&
   const text::NegativeSampler neg(counts);
   util::Rng rng(seed);
   std::vector<Step> steps;
-  forEachTrainingStep(tokens, p, sub, neg, rng,
-                      [&](WordId c, WordId ctx, std::span<const WordId> negs) {
-                        steps.push_back({c, ctx, {negs.begin(), negs.end()}});
-                      });
+  forEachTrainingBatch(tokens, p, 1, sub, neg, rng,
+                       [&](WordId c, std::span<const WordId> ctxs,
+                           std::span<const WordId> negs) {
+                         EXPECT_EQ(ctxs.size(), 1u);
+                         steps.push_back({c, ctxs[0], {negs.begin(), negs.end()}});
+                       });
   return steps;
 }
 

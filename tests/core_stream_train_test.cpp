@@ -1,9 +1,7 @@
-// Trainer ingestion-path equivalence: the pre-refactor span API, the
-// materialized SpanCorpusSource path, and the streaming path must produce
-// bit-identical models (shuffle off) at any chunk size; with shuffle on the
-// materialized path stays bit-identical to the span API while streaming is
-// deterministic per chunk size. Also covers the under-delivery error and
-// the corpusResidentBytesPeak accounting the memory gate relies on.
+// Trainer ingestion equivalence: the span API, a SpanCorpusSource, and the
+// streaming path must produce bit-identical models at any chunk size. Also
+// covers the under-delivery error and the corpusResidentBytesPeak
+// accounting the memory gate relies on.
 
 #include <gtest/gtest.h>
 
@@ -109,44 +107,6 @@ TEST(StreamTrain, OtherStrategiesAndCbowAgree) {
   const auto bySpan = trainer.train(corpus);
   auto streaming = streamParts(parts, 101);
   expectSameModel(bySpan.model, trainer.train(*streaming).model);
-}
-
-TEST(StreamTrain, ShuffleMaterializedMatchesSpanBitwise) {
-  const auto vocab = makeVocab(20);
-  const auto corpus = makeCorpus(1600, 20, 13);
-  TrainOptions o = baseOpts(2);
-  o.shuffleEachEpoch = true;
-  const GraphWord2Vec trainer(vocab, o);
-  const auto bySpan = trainer.train(corpus);
-  text::SpanCorpusSource source(corpus, 2);
-  expectSameModel(bySpan.model, trainer.train(source).model);
-}
-
-TEST(StreamTrain, ShuffleStreamingDeterministicPerChunkSize) {
-  const auto vocab = makeVocab(20);
-  const auto corpus = makeCorpus(1600, 20, 14);
-  const auto parts = text::partitionCorpus(corpus, 2);
-  TrainOptions o = baseOpts(2);
-  o.shuffleEachEpoch = true;
-  const GraphWord2Vec trainer(vocab, o);
-
-  auto s1 = streamParts(parts, 128);
-  auto s2 = streamParts(parts, 128);
-  const auto a = trainer.train(*s1);
-  const auto b = trainer.train(*s2);
-  expectSameModel(a.model, b.model);  // same chunk size => same bits
-
-  // Chunk-local shuffling actually reorders training (differs from off).
-  o.shuffleEachEpoch = false;
-  auto s3 = streamParts(parts, 128);
-  const auto off = GraphWord2Vec(vocab, o).train(*s3);
-  bool differs = false;
-  for (std::uint32_t n = 0; n < a.model.numNodes() && !differs; ++n) {
-    const auto ra = a.model.row(graph::Label::kEmbedding, n);
-    const auto rb = off.model.row(graph::Label::kEmbedding, n);
-    for (std::size_t d = 0; d < ra.size(); ++d) differs = differs || ra[d] != rb[d];
-  }
-  EXPECT_TRUE(differs);
 }
 
 TEST(StreamTrain, ShardCountMustMatchHosts) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "util/rng.h"
+
 namespace gw2v::graph {
 namespace {
 
@@ -77,6 +79,39 @@ TEST(CSRGraph, TotalDegreeEqualsEdgeCount) {
   EdgeId total = 0;
   for (NodeId n = 0; n < 50; ++n) total += g.degree(n);
   EXPECT_EQ(total, g.numEdges());
+}
+
+TEST(Transpose, ReversesEdges) {
+  const std::vector<Edge> edges{{0, 1, 2.0f}, {0, 2, 3.0f}, {2, 1, 4.0f}};
+  const CSRGraph g(3, edges);
+  const CSRGraph t = transpose(g);
+  EXPECT_EQ(t.numEdges(), 3u);
+  EXPECT_EQ(t.degree(0), 0u);
+  EXPECT_EQ(t.degree(1), 2u);  // from 0 and 2
+  EXPECT_EQ(t.degree(2), 1u);
+  EXPECT_EQ(t.neighbors(2)[0], 0u);
+  EXPECT_FLOAT_EQ(t.weights(2)[0], 3.0f);
+}
+
+TEST(Transpose, DoubleTransposeIsIdentity) {
+  util::Rng rng(5);
+  std::vector<Edge> edges;
+  for (NodeId u = 0; u < 60; ++u) {
+    for (unsigned k = 0; k < 4; ++k) {
+      edges.push_back({u, static_cast<NodeId>(rng.bounded(60)), 1.0f + rng.uniformFloat()});
+    }
+  }
+  const CSRGraph g(60, edges);
+  const auto tt = transpose(transpose(g));
+  ASSERT_EQ(tt.numEdges(), g.numEdges());
+  for (NodeId u = 0; u < 60; ++u) {
+    auto a = g.neighbors(u);
+    auto b = tt.neighbors(u);
+    std::vector<NodeId> sa(a.begin(), a.end()), sb(b.begin(), b.end());
+    std::sort(sa.begin(), sa.end());
+    std::sort(sb.begin(), sb.end());
+    EXPECT_EQ(sa, sb) << "node " << u;
+  }
 }
 
 }  // namespace

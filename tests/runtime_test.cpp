@@ -199,16 +199,6 @@ TEST(WorkQueue, ConcurrentProducersConsumers) {
   EXPECT_EQ(consumed.load(), 4000);
 }
 
-TEST(LoopStats, AggregatesAcrossThreads) {
-  LoopStats stats(3);
-  stats.recordIteration(0, 10);
-  stats.recordIteration(1, 5);
-  stats.recordPush(2, 7);
-  const auto total = stats.total();
-  EXPECT_EQ(total.iterations, 15u);
-  EXPECT_EQ(total.pushes, 7u);
-}
-
 TEST(PhaseStats, SumsPerPhaseAcrossThreads) {
   PhaseStats stats(3);
   stats.add(0, SyncPhase::kPack, 1.0);
