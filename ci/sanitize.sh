@@ -34,7 +34,9 @@ if [[ "$SANITIZE" == *thread* ]]; then
   # drain them; epoch replay and destructor shutdown cross generations),
   # and the trainer goldens (SyncRegression.*: every trainer that drives
   # the SGNS edge stream, at one worker thread per host, plus the async
-  # PS with one thread per rank) — must be race-free.
+  # PS with one thread per rank), and the per-pair kernel oracle
+  # (KernelOracle.*: sgnsStep/hsStep/cbowStep against their unfused loops
+  # at every SIMD tier, single-threaded) — must be race-free.
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" -E 'Hogwild'
 else
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"

@@ -1,8 +1,9 @@
 #include "core/cbow.h"
 
+#include <algorithm>
 #include <cmath>
 
-#include "util/vecmath.h"
+#include "util/simd.h"
 
 namespace gw2v::core {
 
@@ -11,40 +12,34 @@ float cbowStep(graph::ModelGraph& model, text::WordId center,
                std::span<const text::WordId> negatives, float alpha,
                const util::SigmoidTable& sigmoid, CbowScratch& scratch, bool collectLoss) {
   const std::uint32_t dim = model.dim();
-  float* __restrict__ neu1 = scratch.neu1.data();
-  float* __restrict__ neu1e = scratch.neu1e.data();
-  for (std::uint32_t d = 0; d < dim; ++d) {
-    neu1[d] = 0.0f;
-    neu1e[d] = 0.0f;
-  }
+  const auto& kern = util::simd::activeKernels();
+  float* neu1 = scratch.neu1.data();
+  float* neu1e = scratch.neu1e.data();
+  std::fill_n(neu1, dim, 0.0f);
+  std::fill_n(neu1e, dim, 0.0f);
 
+  // axpy with alpha 1 rounds each sum once, as a plain add does.
   for (const text::WordId c : contexts) {
-    const auto row = model.row(graph::Label::kEmbedding, c);
-    for (std::uint32_t d = 0; d < dim; ++d) neu1[d] += row[d];
+    kern.axpy(1.0f, model.row(graph::Label::kEmbedding, c).data(), neu1, dim);
   }
-  const float inv = 1.0f / static_cast<float>(contexts.size());
-  for (std::uint32_t d = 0; d < dim; ++d) neu1[d] *= inv;
+  kern.scale(1.0f / static_cast<float>(contexts.size()), neu1, dim);
 
   float loss = 0.0f;
   const auto trainTarget = [&](text::WordId target, float label) {
-    auto trn = model.mutableRow(graph::Label::kTraining, target);
-    const float f = util::dot(scratch.neu1, trn);
+    float* trn = model.mutableRow(graph::Label::kTraining, target).data();
+    const float f = kern.dot(neu1, trn, dim);
     const float g = (label - sigmoid(f)) * alpha;
     if (collectLoss) {
       const float p = util::SigmoidTable::exact(label > 0.5f ? f : -f);
       loss += -std::log(p > 1e-7f ? p : 1e-7f);
     }
-    const float* __restrict__ pt = trn.data();
-    for (std::uint32_t d = 0; d < dim; ++d) neu1e[d] += g * pt[d];
-    util::axpy(g, scratch.neu1, trn);
-    model.markTouched(graph::Label::kTraining, target);
+    kern.sgnsUpdate(g, neu1, trn, neu1e, dim);
   };
   trainTarget(center, 1.0f);
   for (const text::WordId neg : negatives) trainTarget(neg, 0.0f);
 
   for (const text::WordId c : contexts) {
-    util::add(scratch.neu1e, model.mutableRow(graph::Label::kEmbedding, c));
-    model.markTouched(graph::Label::kEmbedding, c);
+    kern.axpy(1.0f, neu1e, model.mutableRow(graph::Label::kEmbedding, c).data(), dim);
   }
   return loss;
 }

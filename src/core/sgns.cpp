@@ -1,8 +1,10 @@
 #include "core/sgns.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/huffman.h"
+#include "util/simd.h"
 
 namespace gw2v::core {
 
@@ -18,16 +20,16 @@ float sgnsStep(graph::ModelGraph& model, text::WordId center, text::WordId conte
                std::span<const text::WordId> negatives, float alpha,
                const util::SigmoidTable& sigmoid, SgnsScratch& scratch, bool collectLoss) {
   const std::uint32_t dim = model.dim();
-  auto emb = model.mutableRow(graph::Label::kEmbedding, context);
-  float* __restrict__ neu1e = scratch.neu1e.data();
-  for (std::uint32_t d = 0; d < dim; ++d) neu1e[d] = 0.0f;
+  const auto& kern = util::simd::activeKernels();
+  float* emb = model.mutableRow(graph::Label::kEmbedding, context).data();
+  float* neu1e = scratch.neu1e.data();
+  std::fill_n(neu1e, dim, 0.0f);
 
   float loss = 0.0f;
   const auto trainTarget = [&](text::WordId target, float label) {
-    auto trn = model.mutableRow(graph::Label::kTraining, target);
-    const float f = util::dot(emb, trn);
-    const float sig = sigmoid(f);
-    const float g = (label - sig) * alpha;
+    float* trn = model.mutableRow(graph::Label::kTraining, target).data();
+    const float f = kern.dot(emb, trn, dim);
+    const float g = (label - sigmoid(f)) * alpha;
     if (collectLoss) {
       // -log sigma(f) for positives, -log(1 - sigma(f)) for negatives, with
       // the exact sigmoid so the loss is comparable across runs.
@@ -35,18 +37,14 @@ float sgnsStep(graph::ModelGraph& model, text::WordId center, text::WordId conte
       loss += -std::log(p > 1e-7f ? p : 1e-7f);
     }
     // neu1e += g * training[target]; training[target] += g * embedding.
-    const float* __restrict__ pt = trn.data();
-    for (std::uint32_t d = 0; d < dim; ++d) neu1e[d] += g * pt[d];
-    util::axpy(g, emb, trn);
-    model.markTouched(graph::Label::kTraining, target);
+    kern.sgnsUpdate(g, emb, trn, neu1e, dim);
   };
 
   trainTarget(center, 1.0f);
   for (const text::WordId neg : negatives) trainTarget(neg, 0.0f);
 
-  float* __restrict__ pe = emb.data();
-  for (std::uint32_t d = 0; d < dim; ++d) pe[d] += neu1e[d];
-  model.markTouched(graph::Label::kEmbedding, context);
+  // fma(1, x, y) rounds x + y once: the bits of a plain add.
+  kern.axpy(1.0f, neu1e, emb, dim);
   return loss;
 }
 
@@ -54,16 +52,17 @@ float hsStep(graph::ModelGraph& model, text::WordId center, text::WordId context
              const HuffmanTree& tree, float alpha, const util::SigmoidTable& sigmoid,
              SgnsScratch& scratch, bool collectLoss) {
   const std::uint32_t dim = model.dim();
-  auto emb = model.mutableRow(graph::Label::kEmbedding, context);
-  float* __restrict__ neu1e = scratch.neu1e.data();
-  for (std::uint32_t d = 0; d < dim; ++d) neu1e[d] = 0.0f;
+  const auto& kern = util::simd::activeKernels();
+  float* emb = model.mutableRow(graph::Label::kEmbedding, context).data();
+  float* neu1e = scratch.neu1e.data();
+  std::fill_n(neu1e, dim, 0.0f);
 
   const auto code = tree.code(center);
   const auto points = tree.points(center);
   float loss = 0.0f;
   for (std::size_t i = 0; i < code.size(); ++i) {
-    auto trn = model.mutableRow(graph::Label::kTraining, points[i]);
-    const float f = util::dot(emb, trn);
+    float* trn = model.mutableRow(graph::Label::kTraining, points[i]).data();
+    const float f = kern.dot(emb, trn, dim);
     // label = 1 - code: branch bit 0 means "predict sigma(f) -> 1".
     const float label = 1.0f - static_cast<float>(code[i]);
     const float g = (label - sigmoid(f)) * alpha;
@@ -71,15 +70,10 @@ float hsStep(graph::ModelGraph& model, text::WordId center, text::WordId context
       const float p = util::SigmoidTable::exact(label > 0.5f ? f : -f);
       loss += -std::log(p > 1e-7f ? p : 1e-7f);
     }
-    const float* __restrict__ pt = trn.data();
-    for (std::uint32_t d = 0; d < dim; ++d) neu1e[d] += g * pt[d];
-    util::axpy(g, emb, trn);
-    model.markTouched(graph::Label::kTraining, points[i]);
+    kern.sgnsUpdate(g, emb, trn, neu1e, dim);
   }
 
-  float* __restrict__ pe = emb.data();
-  for (std::uint32_t d = 0; d < dim; ++d) pe[d] += neu1e[d];
-  model.markTouched(graph::Label::kEmbedding, context);
+  kern.axpy(1.0f, neu1e, emb, dim);
   return loss;
 }
 

@@ -116,14 +116,11 @@ float sgnsStepBatched(graph::ModelGraph& model, text::WordId center,
   for (std::size_t i = 0; i < B; ++i) {
     kern.axpy(1.0f, dCtx + i * stride,
               model.mutableRow(graph::Label::kEmbedding, contexts[i]).data(), dim);
-    model.markTouched(graph::Label::kEmbedding, contexts[i]);
   }
   kern.axpy(1.0f, dTgt, model.mutableRow(graph::Label::kTraining, center).data(), dim);
-  model.markTouched(graph::Label::kTraining, center);
   for (std::size_t k = 0; k < negatives.size(); ++k) {
     kern.axpy(1.0f, dTgt + (1 + k) * stride,
               model.mutableRow(graph::Label::kTraining, negatives[k]).data(), dim);
-    model.markTouched(graph::Label::kTraining, negatives[k]);
   }
   return loss;
 }

@@ -13,7 +13,7 @@
 //   logits   F = Ctx . Tgt^T      (register-blocked mini-GEMM, dot4 kernels)
 //   grads    G[i][j] = (label_j - sigma(F[i][j])) * alpha
 //   update   Ctx += G . Tgt_old,  Tgt += G^T . Ctx_old   (axpy4 rank-1 blocks)
-//   scatter  add both deltas back to the model, markTouched per row
+//   scatter  add both deltas back through mutableRow (first touch marks the row)
 //
 // Updates are computed against the gathered snapshot (as in pWord2Vec), so a
 // batch is one "parallel" SGD step; with B=1 the kernel delegates to the

@@ -18,7 +18,8 @@ class SigmoidTable {
   static constexpr float kMaxExp = 6.0f;
   static constexpr std::size_t kDefaultSize = 1000;
 
-  explicit SigmoidTable(std::size_t size = kDefaultSize) : table_(size) {
+  explicit SigmoidTable(std::size_t size = kDefaultSize)
+      : table_(size), scale_(static_cast<float>(size) / kMaxExp / 2.0f) {
     for (std::size_t i = 0; i < size; ++i) {
       // Matches word2vec.c: exp((i/size*2-1) * MAX_EXP), then x/(x+1).
       const double e =
@@ -31,8 +32,7 @@ class SigmoidTable {
   float operator()(float x) const noexcept {
     if (x >= kMaxExp) return 1.0f;
     if (x <= -kMaxExp) return 0.0f;
-    const auto idx = static_cast<std::size_t>((x + kMaxExp) *
-                                              (static_cast<float>(table_.size()) / kMaxExp / 2.0f));
+    const auto idx = static_cast<std::size_t>((x + kMaxExp) * scale_);
     return table_[idx < table_.size() ? idx : table_.size() - 1];
   }
 
@@ -43,6 +43,7 @@ class SigmoidTable {
 
  private:
   std::vector<float> table_;
+  float scale_;  // entries per unit of x: size / (2 * kMaxExp)
 };
 
 }  // namespace gw2v::util

@@ -48,6 +48,13 @@ struct KernelTable {
   /// The model combiner's projection needs exactly these two reductions.
   void (*dotNormAccum)(const float* acc, const float* next, std::size_t n, float* dotOut,
                        float* norm2Out);
+  /// One SGNS target's whole update in a single pass over t:
+  ///   acc[i] += g * t[i]   (product rounded, then the sum: never fused)
+  ///   t[i]   += g * h[i]   (rounded exactly as this tier's axpy rounds it)
+  /// Each t[i] is read once, before it is written, so the call equals a scalar
+  /// acc loop followed by axpy(g, h, t, n) bit for bit. h, t and acc must not
+  /// overlap.
+  void (*sgnsUpdate)(float g, const float* h, float* t, float* acc, std::size_t n);
 
   // Sync-codec converts. Unlike the reductions above, these are per-element
   // and therefore bitwise-identical across tiers: the scalar tier is the

@@ -78,6 +78,14 @@ void dotNormAccumScalar(const float* __restrict__ acc, const float* __restrict__
   *norm2Out = g2;
 }
 
+void sgnsUpdateScalar(float g, const float* __restrict__ h, float* __restrict__ t,
+                      float* __restrict__ acc, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    acc[i] += g * t[i];
+    t[i] += g * h[i];
+  }
+}
+
 // --------------------------------------------------- codec converts, scalar
 
 // One-element helpers shared by every tier's tail loop, so tails are bitwise
@@ -326,6 +334,23 @@ __attribute__((target("avx2,fma"))) void dotNormAccumAvx2(const float* acc, cons
   *norm2Out = g2;
 }
 
+// The acc update stays a multiply then an add (an FMA would round once and
+// move the bits); the t update is axpyAvx2's, fused body and unfused tail.
+__attribute__((target("avx2,fma"))) void sgnsUpdateAvx2(float g, const float* h, float* t,
+                                                        float* acc, std::size_t n) {
+  const __m256 vg = _mm256_set1_ps(g);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 vt = _mm256_loadu_ps(t + i);
+    _mm256_storeu_ps(acc + i, _mm256_add_ps(_mm256_loadu_ps(acc + i), _mm256_mul_ps(vg, vt)));
+    _mm256_storeu_ps(t + i, _mm256_fmadd_ps(vg, _mm256_loadu_ps(h + i), vt));
+  }
+  for (; i < n; ++i) {
+    acc[i] += g * t[i];
+    t[i] += g * h[i];
+  }
+}
+
 // ----------------------------------------------- codec converts, AVX2+F16C
 
 // The fp16 pair needs F16C on top of AVX2; cpuTier() requires all three
@@ -562,6 +587,26 @@ __attribute__((target("avx512f"))) void dotNormAccumAvx512(const float* acc, con
   *norm2Out = _mm512_reduce_add_ps(vn);
 }
 
+// Same rounding split as sgnsUpdateAvx2; the masked tail fuses t like
+// axpyAvx512's does.
+__attribute__((target("avx512f"))) void sgnsUpdateAvx512(float g, const float* h, float* t,
+                                                         float* acc, std::size_t n) {
+  const __m512 vg = _mm512_set1_ps(g);
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m512 vt = _mm512_loadu_ps(t + i);
+    _mm512_storeu_ps(acc + i, _mm512_add_ps(_mm512_loadu_ps(acc + i), _mm512_mul_ps(vg, vt)));
+    _mm512_storeu_ps(t + i, _mm512_fmadd_ps(vg, _mm512_loadu_ps(h + i), vt));
+  }
+  if (i < n) {
+    const __mmask16 m = tailMask(n - i);
+    const __m512 vt = _mm512_maskz_loadu_ps(m, t + i);
+    _mm512_mask_storeu_ps(acc + i, m,
+                          _mm512_add_ps(_mm512_maskz_loadu_ps(m, acc + i), _mm512_mul_ps(vg, vt)));
+    _mm512_mask_storeu_ps(t + i, m, _mm512_fmadd_ps(vg, _mm512_maskz_loadu_ps(m, h + i), vt));
+  }
+}
+
 // --------------------------------------------- codec converts, AVX-512F --
 
 __attribute__((target("avx512f"))) void fp32ToFp16Avx512(const float* src,
@@ -635,17 +680,17 @@ __attribute__((target("avx512f"))) void int8ToFp32Avx512(const std::int8_t* src,
 
 constexpr KernelTable kScalarTable{dotScalar,      dot4Scalar,     axpyScalar,
                                    axpy4Scalar,    axpbyScalar,    scaleScalar,
-                                   dotNormAccumScalar,
+                                   dotNormAccumScalar, sgnsUpdateScalar,
                                    fp32ToFp16Scalar, fp16ToFp32Scalar, maxAbsScalar,
                                    fp32ToInt8Scalar, int8ToFp32Scalar};
 constexpr KernelTable kAvx2Table{dotAvx2,        dot4Avx2,       axpyAvx2,
                                  axpy4Avx2,      axpbyAvx2,      scaleAvx2,
-                                 dotNormAccumAvx2,
+                                 dotNormAccumAvx2, sgnsUpdateAvx2,
                                  fp32ToFp16Avx2, fp16ToFp32Avx2, maxAbsAvx2,
                                  fp32ToInt8Avx2, int8ToFp32Avx2};
 constexpr KernelTable kAvx512Table{dotAvx512,        dot4Avx512,       axpyAvx512,
                                    axpy4Avx512,      axpbyAvx512,      scaleAvx512,
-                                   dotNormAccumAvx512,
+                                   dotNormAccumAvx512, sgnsUpdateAvx512,
                                    fp32ToFp16Avx512, fp16ToFp32Avx512, maxAbsAvx512,
                                    fp32ToInt8Avx512, int8ToFp32Avx512};
 

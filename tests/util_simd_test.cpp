@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -126,6 +127,36 @@ TEST_P(SimdParityTest, DotNormAccum) {
     // The fused kernel must agree with its two unfused halves.
     EXPECT_NEAR(dGot, tiered().dot(acc.data(), next.data(), n), tol(n));
     EXPECT_NEAR(nGot, tiered().dot(acc.data(), acc.data(), n), tol(n));
+  }
+}
+
+// Bitwise, unlike the reductions above: the per-pair training kernels call
+// sgnsUpdate in place of a scalar acc loop followed by axpy, so any rounding
+// difference from that pair moves model bits. The reference uses the tier's
+// own axpy (the scalar tier's t update is unfused, the vector tiers' fused);
+// a tolerance would let an FMA into the acc update through.
+TEST_P(SimdParityTest, SgnsUpdate) {
+  Rng rng(13);
+  std::vector<std::size_t> lengths(std::begin(kLengths), std::end(kLengths));
+  lengths.push_back(64);
+  lengths.push_back(128);
+  for (const std::size_t n : lengths) {
+    for (const float g : {0.37f, -1.3f, 0.0f}) {
+      const auto h = randomVec(n, rng);
+      auto t = randomVec(n, rng);
+      auto acc = randomVec(n, rng);
+      auto tRef = t;
+      auto accRef = acc;
+      for (std::size_t i = 0; i < n; ++i) accRef[i] += g * tRef[i];
+      tiered().axpy(g, h.data(), tRef.data(), n);
+      tiered().sgnsUpdate(g, h.data(), t.data(), acc.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(acc[i]), std::bit_cast<std::uint32_t>(accRef[i]))
+            << "acc n=" << n << " g=" << g << " i=" << i;
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(t[i]), std::bit_cast<std::uint32_t>(tRef[i]))
+            << "t n=" << n << " g=" << g << " i=" << i;
+      }
+    }
   }
 }
 
