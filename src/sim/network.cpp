@@ -17,7 +17,6 @@ void Network::send(HostId src, HostId dst, int tag, std::vector<std::uint8_t> pa
   if (aborted()) throw NetworkAborted();
   const std::uint64_t wire = payload.size() + kHeaderBytes;
   stats_[src].recordSend(phase, wire);
-  stats_[dst].recordReceive(phase, wire);
   if (src == dst) {
     // Loopback still goes through the mailbox so the programming model is
     // uniform, but a real NIC would not be crossed; keep the accounting — a
@@ -32,7 +31,7 @@ void Network::send(HostId src, HostId dst, int tag, std::vector<std::uint8_t> pa
   mb.cv.notify_all();
 }
 
-std::vector<std::uint8_t> Network::recv(HostId dst, HostId src, int tag, CommPhase /*phase*/) {
+std::vector<std::uint8_t> Network::recv(HostId dst, HostId src, int tag, CommPhase phase) {
   assert(dst < numHosts_ && src < numHosts_);
   Mailbox& mb = mailboxes_[dst];
   std::unique_lock<std::mutex> lock(mb.mutex);
@@ -44,6 +43,7 @@ std::vector<std::uint8_t> Network::recv(HostId dst, HostId src, int tag, CommPha
     if (it != mb.messages.end()) {
       std::vector<std::uint8_t> payload = std::move(it->payload);
       mb.messages.erase(it);
+      stats_[dst].recordReceive(phase, payload.size() + kHeaderBytes);
       return payload;
     }
     mb.cv.wait(lock);
@@ -51,7 +51,7 @@ std::vector<std::uint8_t> Network::recv(HostId dst, HostId src, int tag, CommPha
 }
 
 std::pair<HostId, std::vector<std::uint8_t>> Network::recvAny(HostId dst, int tag,
-                                                              CommPhase /*phase*/) {
+                                                              CommPhase phase) {
   assert(dst < numHosts_);
   Mailbox& mb = mailboxes_[dst];
   std::unique_lock<std::mutex> lock(mb.mutex);
@@ -62,6 +62,7 @@ std::pair<HostId, std::vector<std::uint8_t>> Network::recvAny(HostId dst, int ta
     if (it != mb.messages.end()) {
       std::pair<HostId, std::vector<std::uint8_t>> out{it->src, std::move(it->payload)};
       mb.messages.erase(it);
+      stats_[dst].recordReceive(phase, out.second.size() + kHeaderBytes);
       return out;
     }
     mb.cv.wait(lock);

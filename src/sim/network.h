@@ -45,7 +45,9 @@ class Network {
   void send(HostId src, HostId dst, int tag, std::vector<std::uint8_t> payload,
             CommPhase phase = CommPhase::kOther);
 
-  /// Blocking receive matching (src, tag) at host `dst`.
+  /// Blocking receive matching (src, tag) at host `dst`. The message counts
+  /// toward `dst`'s received bytes here, when it is drained on the receiving
+  /// thread, so a per-round stats window sees exactly what that round took.
   std::vector<std::uint8_t> recv(HostId dst, HostId src, int tag,
                                  CommPhase phase = CommPhase::kOther);
 

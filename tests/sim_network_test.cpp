@@ -92,10 +92,38 @@ TEST(Network, StatsCountHeaderAndPayload) {
   net.send(0, 1, 1, bytes({1, 2, 3, 4}), CommPhase::kReduce);
   EXPECT_EQ(net.statsFor(0).bytesSent(), 4 + Network::kHeaderBytes);
   EXPECT_EQ(net.statsFor(0).messagesSent(), 1u);
+  (void)net.recv(1, 0, 1, CommPhase::kReduce);
   EXPECT_EQ(net.statsFor(1).bytesReceived(), 4 + Network::kHeaderBytes);
   EXPECT_EQ(net.statsFor(0).bytesSent(CommPhase::kReduce), 4 + Network::kHeaderBytes);
   EXPECT_EQ(net.statsFor(0).bytesSent(CommPhase::kBroadcast), 0u);
   EXPECT_EQ(net.totalBytesSent(), 4 + Network::kHeaderBytes);
+}
+
+// A message counts as received when the receiver drains it, on the
+// receiver's thread: a peer that sent early must still land inside the
+// receiver's own stats window for the exchange.
+TEST(Network, ReceiveCountsInTheDrainingWindow) {
+  ClusterOptions opts;
+  opts.numHosts = 2;
+  CommSnapshot window{};
+  runCluster(opts, [&](HostContext& ctx) {
+    if (ctx.id() == 0) ctx.network().send(0, 1, 1, std::vector<std::uint8_t>(300));
+    ctx.barrier();
+    if (ctx.id() == 1) {
+      const CommSnapshot before = snapshot(ctx.commStats());
+      (void)ctx.network().recv(1, 0, 1);
+      window = delta(before, snapshot(ctx.commStats()));
+    }
+  });
+  EXPECT_EQ(window.bytesReceived, 300 + Network::kHeaderBytes);
+}
+
+TEST(Network, RecvAnyCountsWhenDrained) {
+  Network net(3);
+  net.send(2, 0, 9, bytes({1, 2, 3}));
+  EXPECT_EQ(net.statsFor(0).bytesReceived(), 0u);
+  (void)net.recvAny(0, 9);
+  EXPECT_EQ(net.statsFor(0).bytesReceived(), 3 + Network::kHeaderBytes);
 }
 
 TEST(Network, ResetStatsZeroes) {
