@@ -84,7 +84,7 @@ void BM_SyncRound(benchmark::State& state) {
     const sim::ClusterReport report = sim::runCluster(copts, [&](sim::HostContext& ctx) {
       graph::ModelGraph& m = *fix.replicas[ctx.id()];
       comm::SyncEngine engine(ctx, m, fix.partition, sum, comm::SyncStrategy::kRepModelOpt,
-                              {}, sopts);
+                              sopts);
       const auto& touch = fix.touch[ctx.id()];
       for (unsigned r = 0; r < kRoundsPerIter; ++r) {
         for (std::uint32_t i = 0; i < numDirty; ++i) {

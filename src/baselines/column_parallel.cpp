@@ -53,9 +53,7 @@ ColumnParallelResult trainColumnParallel(const text::Vocabulary& vocab,
 
     std::uint64_t hostExamples = 0;
     for (unsigned epoch = 0; epoch < opts.epochs; ++epoch) {
-      const float frac =
-          1.0f - static_cast<float>(epoch) / static_cast<float>(opts.epochs);
-      const float alpha = opts.sgns.alpha * std::max(frac, opts.minAlphaFraction);
+      const float alpha = core::decayedAlpha(opts.sgns.alpha, epoch, opts.epochs);
       double lossSum = 0.0;
       std::uint64_t examples = 0;
 
@@ -76,8 +74,7 @@ ColumnParallelResult trainColumnParallel(const text::Vocabulary& vocab,
         // ...summed across hosts into global dots (the design's hot loop).
         const sim::CommSnapshot before = sim::snapshot(ctx.commStats());
         coll.allReduceSum(dots);
-        ctx.addModelledCommSeconds(opts.netModel.exchangeSeconds(
-            sim::delta(before, sim::snapshot(ctx.commStats()))));
+        ctx.chargeExchange(before);
 
         // Apply gradients to the slice using the global scalars.
         ctx.computeTimer().start();
@@ -139,7 +136,6 @@ ColumnParallelResult trainColumnParallel(const text::Vocabulary& vocab,
 
   sim::ClusterOptions copts;
   copts.numHosts = numHosts;
-  copts.networkModel = opts.netModel;
 
   ColumnParallelResult result;
   result.cluster = sim::runCluster(copts, body);

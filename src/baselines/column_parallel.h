@@ -37,9 +37,7 @@ struct ColumnParallelOptions {
   /// Examples whose dot products are allreduced together.
   std::uint32_t batchExamples = 256;
   std::uint64_t seed = 42;
-  float minAlphaFraction = 1e-4f;
   bool trackLoss = true;
-  sim::NetworkModel netModel{};
 };
 
 struct ColumnParallelResult {

@@ -30,8 +30,6 @@ ParameterServerResult trainParameterServer(const text::Vocabulary& vocab,
   po.cacheRows = 0;
   po.trackLoss = false;
   po.seed = opts.seed;
-  po.minAlphaFraction = opts.minAlphaFraction;
-  po.netModel = opts.netModel;
 
   auto r = ps::trainAsyncPs(vocab, corpus, po);
   ParameterServerResult result;

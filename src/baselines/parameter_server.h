@@ -31,8 +31,6 @@ struct ParameterServerOptions {
   /// Total hosts including the server (>= 2).
   unsigned numHosts = 4;
   std::uint64_t seed = 42;
-  float minAlphaFraction = 1e-4f;
-  sim::NetworkModel netModel{};
 };
 
 struct ParameterServerResult {

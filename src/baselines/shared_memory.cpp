@@ -19,15 +19,6 @@
 
 namespace gw2v::baselines {
 
-namespace {
-
-float decayedAlpha(float alpha0, unsigned epoch, unsigned epochs, float minFraction) {
-  const float frac = 1.0f - static_cast<float>(epoch) / static_cast<float>(epochs);
-  return alpha0 * std::max(frac, minFraction);
-}
-
-}  // namespace
-
 SharedMemoryResult trainHogwild(const text::Vocabulary& vocab,
                                 std::span<const text::WordId> corpus,
                                 const SharedMemoryOptions& opts,
@@ -65,7 +56,7 @@ SharedMemoryResult trainHogwild(const text::Vocabulary& vocab,
   runtime::PerThread<double> cpuSeconds(numThreads, 0.0);
 
   for (unsigned epoch = 0; epoch < opts.epochs; ++epoch) {
-    const float alpha = decayedAlpha(opts.sgns.alpha, epoch, opts.epochs, opts.minAlphaFraction);
+    const float alpha = core::decayedAlpha(opts.sgns.alpha, epoch, opts.epochs);
     runtime::PerThread<double> lossAcc(numThreads, 0.0);
     runtime::PerThread<std::uint64_t> exampleAcc(numThreads, 0);
 
@@ -162,7 +153,7 @@ SharedMemoryResult trainBatched(const text::Vocabulary& vocab,
   std::vector<float> neu1e(dim);
 
   for (unsigned epoch = 0; epoch < opts.epochs; ++epoch) {
-    const float alpha = decayedAlpha(opts.sgns.alpha, epoch, opts.epochs, opts.minAlphaFraction);
+    const float alpha = core::decayedAlpha(opts.sgns.alpha, epoch, opts.epochs);
     util::Rng rng(util::hash64(opts.seed ^ (static_cast<std::uint64_t>(epoch) << 16) ^ 0x9292ULL));
     double loss = 0.0;
     std::uint64_t examples = 0;

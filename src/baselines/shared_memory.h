@@ -32,7 +32,6 @@ struct SharedMemoryOptions {
   unsigned threads = 1;
   std::uint64_t seed = 42;
   bool trackLoss = true;
-  float minAlphaFraction = 1e-4f;
 };
 
 struct SmEpochStats {
@@ -66,7 +65,6 @@ struct BatchedOptions {
   std::uint32_t batchExamples = 1024;  // examples per mini-batch
   std::uint64_t seed = 42;
   bool trackLoss = true;
-  float minAlphaFraction = 1e-4f;
 };
 
 /// Mini-batched trainer (gradients w.r.t. a frozen snapshot, averaged and

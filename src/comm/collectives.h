@@ -30,8 +30,9 @@
 //
 // Cost accounting: each collective records its serialized round count
 // (ring: 2(H−1), tree: ceil(log2 H)) via CommStats::recordCollectiveRounds,
-// and NetworkModel charges max(messages, rounds) × latency — tree depth shows
-// up in modelled time even where per-rank message counts would hide it.
+// and the modelled fabric charges max(messages, rounds) × latency — tree
+// depth shows up in modelled time even where per-rank message counts would
+// hide it.
 
 #include <cstdint>
 #include <functional>

@@ -35,15 +35,14 @@ void forEachEntry(std::span<const std::uint8_t> payload, std::uint32_t lo, std::
 ScalarSyncEngine::ScalarSyncEngine(sim::HostContext& ctx, std::span<float> values,
                                    util::BitVector& touched,
                                    const graph::BlockedPartition& partition,
-                                   ScalarReduceOp op, sim::NetworkModel netModel)
+                                   ScalarReduceOp op)
     : ctx_(ctx),
       transport_(ctx.network()),
       coll_(transport_, ctx.id(), TagSpace::kScalarSync),
       values_(values),
       touched_(touched),
       partition_(partition),
-      op_(op),
-      netModel_(netModel) {
+      op_(op) {
   assert(values_.size() == partition_.numNodes());
   assert(touched_.size() >= partition_.numNodes());
 }
@@ -115,8 +114,7 @@ std::uint64_t ScalarSyncEngine::sync() {
 
   touched_.reset();
   ++round_;
-  ctx_.addModelledCommSeconds(
-      netModel_.exchangeSeconds(sim::delta(before, sim::snapshot(ctx_.commStats()))));
+  ctx_.chargeExchange(before);
   coll_.barrier();
   return changed;
 }

@@ -26,7 +26,6 @@
 #include "comm/transport.h"
 #include "graph/partition.h"
 #include "sim/cluster.h"
-#include "sim/network_model.h"
 #include "util/bitvector.h"
 
 namespace gw2v::comm {
@@ -38,8 +37,7 @@ class ScalarSyncEngine {
   /// `values` and `touched` are the host's label array and dirty bits; both
   /// must outlive the engine and have one slot per node.
   ScalarSyncEngine(sim::HostContext& ctx, std::span<float> values, util::BitVector& touched,
-                   const graph::BlockedPartition& partition, ScalarReduceOp op,
-                   sim::NetworkModel netModel = {});
+                   const graph::BlockedPartition& partition, ScalarReduceOp op);
 
   /// One BSP sync round; clears the touched bits. Returns how many of this
   /// host's labels changed (master folds + received broadcasts).
@@ -55,7 +53,6 @@ class ScalarSyncEngine {
   util::BitVector& touched_;
   const graph::BlockedPartition& partition_;
   ScalarReduceOp op_;
-  sim::NetworkModel netModel_;
   std::uint64_t round_ = 0;
 };
 

@@ -54,7 +54,7 @@ const char* syncStrategyName(SyncStrategy s) noexcept {
 
 SyncEngine::SyncEngine(sim::HostContext& ctx, graph::ModelGraph& model,
                        const graph::BlockedPartition& partition, const Reducer& reducer,
-                       SyncStrategy strategy, sim::NetworkModel netModel, SyncOptions opts)
+                       SyncStrategy strategy, SyncOptions opts)
     : ctx_(ctx),
       transport_(ctx.network()),
       coll_(transport_, ctx.id(), TagSpace::kModelSync),
@@ -62,7 +62,6 @@ SyncEngine::SyncEngine(sim::HostContext& ctx, graph::ModelGraph& model,
       partition_(partition),
       reducer_(reducer),
       strategy_(strategy),
-      netModel_(netModel),
       syncOpts_(opts) {
   assert(partition_.numNodes() == model_.numNodes());
   assert(partition_.numHosts() == ctx_.numHosts());
@@ -126,7 +125,7 @@ void SyncEngine::exchangeWillAccess(const util::BitVector* willAccess) {
   for (auto& v : pullWants_) v.clear();
   if (numHosts <= 1) return;
 
-  runtime::PhaseStats& phases = ctx_.syncPhases();
+  sim::SyncPhaseSeconds& phases = ctx_.syncSeconds();
   util::WallTimer total;
   util::WallTimer t;
   for (unsigned peer = 0; peer < numHosts; ++peer) {
@@ -173,9 +172,9 @@ void SyncEngine::exchangeWillAccess(const util::BitVector* willAccess) {
     releaseBuf(std::move(buf));
   }
   const double parseW = t.seconds();
-  phases.add(0, runtime::SyncPhase::kPack, packW);
-  phases.add(0, runtime::SyncPhase::kFold, parseW);
-  phases.add(0, runtime::SyncPhase::kExchange, std::max(0.0, total.seconds() - packW - parseW));
+  phases.pack += packW;
+  phases.fold += parseW;
+  phases.exchange += std::max(0.0, total.seconds() - packW - parseW);
 }
 
 // One round: pack → allToAllv → fold → apply for the reduce, then the same
@@ -189,7 +188,7 @@ void SyncEngine::doSync(const util::BitVector* willAccess) {
   const bool pull = strategy_ == SyncStrategy::kPullModel;
   runtime::ThreadPool& pool = ctx_.pool();
   const unsigned numThreads = pool.numThreads();
-  runtime::PhaseStats& phases = ctx_.syncPhases();
+  sim::SyncPhaseSeconds& phases = ctx_.syncSeconds();
   const SyncCodec codec = syncOpts_.codec;
   const bool lossy = codec != SyncCodec::kFp32;
   const bool ef = lossy && syncOpts_.errorFeedback;
@@ -455,11 +454,10 @@ void SyncEngine::doSync(const util::BitVector* willAccess) {
   }
   releaseRecvBufs();
   const double applyW = t.seconds();
-  phases.add(0, runtime::SyncPhase::kPack, packW);
-  phases.add(0, runtime::SyncPhase::kFold, foldW);
-  phases.add(0, runtime::SyncPhase::kApply, applyW);
-  phases.add(0, runtime::SyncPhase::kExchange,
-             std::max(0.0, reduceWall.seconds() - packW - foldW - applyW));
+  phases.pack += packW;
+  phases.fold += foldW;
+  phases.apply += applyW;
+  phases.exchange += std::max(0.0, reduceWall.seconds() - packW - foldW - applyW);
 
   // ---- Broadcast phase: ship canonical values to mirrors, apply
   // row-parallel. ----
@@ -574,10 +572,9 @@ void SyncEngine::doSync(const util::BitVector* willAccess) {
       {.chunkSize = 1});
   releaseRecvBufs();
   const double bApplyW = t.seconds();
-  phases.add(0, runtime::SyncPhase::kPack, bPackW);
-  phases.add(0, runtime::SyncPhase::kApply, bApplyW);
-  phases.add(0, runtime::SyncPhase::kExchange,
-             std::max(0.0, bcastWall.seconds() - bPackW - bApplyW));
+  phases.pack += bPackW;
+  phases.apply += bApplyW;
+  phases.exchange += std::max(0.0, bcastWall.seconds() - bPackW - bApplyW);
 
   // No explicit rebasing anywhere: clearTouched() declares the post-round
   // model the baseline, which covers broadcast-overwritten mirrors, masters,
@@ -587,8 +584,7 @@ void SyncEngine::doSync(const util::BitVector* willAccess) {
 
   // Modelled communication time for this host's share of the round's
   // exchanges (control, reduce and broadcast).
-  const sim::CommSnapshot after = sim::snapshot(ctx_.commStats());
-  ctx_.addModelledCommSeconds(netModel_.exchangeSeconds(sim::delta(before, after)));
+  ctx_.chargeExchange(before);
 
   // BSP rounds end at a barrier: nobody computes ahead of stragglers.
   coll_.barrier();

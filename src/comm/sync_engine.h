@@ -57,7 +57,6 @@
 #include "graph/partition.h"
 #include "model/embedding_table.h"
 #include "sim/cluster.h"
-#include "sim/network_model.h"
 #include "util/bitvector.h"
 
 namespace gw2v::comm {
@@ -83,7 +82,7 @@ class SyncEngine {
  public:
   SyncEngine(sim::HostContext& ctx, graph::ModelGraph& model,
              const graph::BlockedPartition& partition, const Reducer& reducer,
-             SyncStrategy strategy, sim::NetworkModel netModel = {}, SyncOptions opts = {});
+             SyncStrategy strategy, SyncOptions opts = {});
 
   /// One BSP sync round (Naive/Opt). For PullModel this overload treats
   /// "will access" as "everything" — prefer the BitVector overload there.
@@ -147,7 +146,6 @@ class SyncEngine {
   const graph::BlockedPartition& partition_;
   const Reducer& reducer_;
   SyncStrategy strategy_;
-  sim::NetworkModel netModel_;
   SyncOptions syncOpts_;
 
   std::uint64_t round_ = 0;

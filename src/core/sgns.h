@@ -55,6 +55,17 @@ struct SgnsParams {
   Objective objective = Objective::kNegativeSampling;
 };
 
+/// Learning-rate floor as a fraction of the initial rate (word2vec.c: 1e-4).
+inline constexpr float kMinAlphaFraction = 1e-4f;
+
+/// word2vec.c's schedule, shared by every trainer: the rate after `done` of
+/// `total` steps (rounds or epochs) decays linearly from `alpha0`, floored at
+/// kMinAlphaFraction * alpha0.
+inline float decayedAlpha(float alpha0, std::uint64_t done, std::uint64_t total) noexcept {
+  const float frac = 1.0f - static_cast<float>(done) / static_cast<float>(total);
+  return alpha0 * std::max(frac, kMinAlphaFraction);
+}
+
 /// Drive the SGNS edge stream over `tokens`, grouping each center's window
 /// into batches of at most `batchSize` context words that share one negative
 /// set, and calling

@@ -212,8 +212,7 @@ TrainResult GraphWord2Vec::train(text::CorpusSource& source,
   const auto body = [&](sim::HostContext& ctx) {
     const unsigned host = ctx.id();
     graph::ModelGraph& model = *replicas[host];
-    comm::SyncEngine sync(ctx, model, partition, *reducer, opts_.strategy, opts_.netModel,
-                          opts_.sync);
+    comm::SyncEngine sync(ctx, model, partition, *reducer, opts_.strategy, opts_.sync);
     comm::SimTransport transport(ctx.network());
     comm::Collectives coll(transport, host, comm::TagSpace::kTrainer);
 
@@ -236,9 +235,7 @@ TrainResult GraphWord2Vec::train(text::CorpusSource& source,
 
     const std::uint64_t totalRounds = static_cast<std::uint64_t>(epochs) * rounds;
     const auto alphaFor = [&](std::uint64_t roundIdx) {
-      const float frac =
-          1.0f - static_cast<float>(roundIdx) / static_cast<float>(totalRounds);
-      return opts_.sgns.alpha * std::max(frac, opts_.minAlphaFraction);
+      return decayedAlpha(opts_.sgns.alpha, roundIdx, totalRounds);
     };
     const auto threadSeed = [&](unsigned epoch, unsigned s, unsigned t) {
       std::uint64_t x = opts_.seed;
@@ -363,7 +360,6 @@ TrainResult GraphWord2Vec::train(text::CorpusSource& source,
   sim::ClusterOptions copts;
   copts.numHosts = numHosts;
   copts.workerThreadsPerHost = opts_.workerThreadsPerHost;
-  copts.networkModel = opts_.netModel;
 
   TrainResult result;
   result.cluster = sim::runCluster(copts, body);

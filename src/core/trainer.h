@@ -8,8 +8,8 @@
 // bulk-synchronizes the model through the Gluon-lite SyncEngine with the
 // configured reduction (model combiner / AVG / SUM) and communication
 // strategy (RepModel-Naive / RepModel-Opt / PullModel). The learning rate
-// decays linearly with global progress, floored at minAlphaFraction * alpha,
-// following word2vec.c.
+// decays linearly with global progress, floored at kMinAlphaFraction * alpha
+// (core::decayedAlpha), following word2vec.c.
 
 #include <cstdint>
 #include <functional>
@@ -47,9 +47,6 @@ struct TrainOptions {
   std::uint64_t seed = 42;
   /// Collect SGNS loss during training (small overhead; on by default).
   bool trackLoss = true;
-  /// Learning-rate floor as a fraction of the initial rate (word2vec.c: 1e-4).
-  float minAlphaFraction = 1e-4f;
-  sim::NetworkModel netModel{};
   /// Sync wire codec (sync.codec = fp32/fp16/int8) and its error-feedback
   /// residual compensation (sync.errorFeedback). Only fp32 is byte-exact
   /// with the historical goldens.

@@ -16,7 +16,7 @@ namespace {
 
 /// Shared BSP driver: `relax(u, values, touched)` applies the operator to
 /// one owned node, returning how many labels it improved.
-DistributedResult runBsp(const CSRGraph& g, unsigned numHosts, sim::NetworkModel netModel,
+DistributedResult runBsp(const CSRGraph& g, unsigned numHosts,
                          const std::function<void(std::vector<float>&)>& init,
                          const std::function<std::uint64_t(NodeId, std::vector<float>&,
                                                            util::BitVector&)>& relax) {
@@ -30,13 +30,11 @@ DistributedResult runBsp(const CSRGraph& g, unsigned numHosts, sim::NetworkModel
 
   sim::ClusterOptions copts;
   copts.numHosts = numHosts;
-  copts.networkModel = netModel;
   DistributedResult result;
   result.cluster = sim::runCluster(copts, [&](sim::HostContext& ctx) {
     std::vector<float>& values = replicas[ctx.id()];
     util::BitVector touched(g.numNodes());
-    comm::ScalarSyncEngine sync(ctx, values, touched, partition,
-                                comm::ScalarReduceOp::kMin, netModel);
+    comm::ScalarSyncEngine sync(ctx, values, touched, partition, comm::ScalarReduceOp::kMin);
     comm::SimTransport transport(ctx.network());
     comm::Collectives coll(transport, ctx.id(), comm::TagSpace::kGraphAnalytics);
     const auto [lo, hi] = partition.masterRange(ctx.id());
@@ -62,10 +60,9 @@ DistributedResult runBsp(const CSRGraph& g, unsigned numHosts, sim::NetworkModel
 
 }  // namespace
 
-DistributedResult distributedSssp(const CSRGraph& g, NodeId source, unsigned numHosts,
-                                  sim::NetworkModel netModel) {
+DistributedResult distributedSssp(const CSRGraph& g, NodeId source, unsigned numHosts) {
   return runBsp(
-      g, numHosts, netModel,
+      g, numHosts,
       [&](std::vector<float>& values) {
         std::fill(values.begin(), values.end(), kInfDistance);
         if (source < g.numNodes()) values[source] = 0.0f;
@@ -88,10 +85,9 @@ DistributedResult distributedSssp(const CSRGraph& g, NodeId source, unsigned num
       });
 }
 
-DistributedResult distributedBfs(const CSRGraph& g, NodeId source, unsigned numHosts,
-                                 sim::NetworkModel netModel) {
+DistributedResult distributedBfs(const CSRGraph& g, NodeId source, unsigned numHosts) {
   return runBsp(
-      g, numHosts, netModel,
+      g, numHosts,
       [&](std::vector<float>& values) {
         std::fill(values.begin(), values.end(), kInfDistance);
         if (source < g.numNodes()) values[source] = 0.0f;
@@ -111,10 +107,9 @@ DistributedResult distributedBfs(const CSRGraph& g, NodeId source, unsigned numH
       });
 }
 
-DistributedResult distributedCc(const CSRGraph& g, unsigned numHosts,
-                                sim::NetworkModel netModel) {
+DistributedResult distributedCc(const CSRGraph& g, unsigned numHosts) {
   return runBsp(
-      g, numHosts, netModel,
+      g, numHosts,
       [&](std::vector<float>& values) {
         for (NodeId n = 0; n < g.numNodes(); ++n) values[n] = static_cast<float>(n);
       },
@@ -142,8 +137,7 @@ DistributedResult distributedCc(const CSRGraph& g, unsigned numHosts,
 }
 
 DistributedPagerankResult distributedPagerank(const CSRGraph& g, unsigned numHosts,
-                                              double damping, double tol, int maxIters,
-                                              sim::NetworkModel netModel) {
+                                              double damping, double tol, int maxIters) {
   const BlockedPartition partition(g.numNodes(), numHosts);
   const std::size_t n = g.numNodes();
   std::vector<std::vector<double>> replicaRanks(
@@ -152,7 +146,6 @@ DistributedPagerankResult distributedPagerank(const CSRGraph& g, unsigned numHos
 
   sim::ClusterOptions copts;
   copts.numHosts = numHosts;
-  copts.networkModel = netModel;
   DistributedPagerankResult result;
   result.cluster = sim::runCluster(copts, [&](sim::HostContext& ctx) {
     std::vector<double>& rank = replicaRanks[ctx.id()];
@@ -180,8 +173,7 @@ DistributedPagerankResult distributedPagerank(const CSRGraph& g, unsigned numHos
       const sim::CommSnapshot before = sim::snapshot(ctx.commStats());
       partial.push_back(dangling);
       coll.allReduceSum(partial);
-      ctx.addModelledCommSeconds(netModel.exchangeSeconds(
-          sim::delta(before, sim::snapshot(ctx.commStats()))));
+      ctx.chargeExchange(before);
       const double globalDangling = partial.back();
       partial.pop_back();
 

@@ -13,7 +13,6 @@
 
 #include "graph/csr.h"
 #include "sim/cluster.h"
-#include "sim/network_model.h"
 
 namespace gw2v::graph {
 
@@ -25,16 +24,13 @@ struct DistributedResult {
 };
 
 /// Bellman-Ford SSSP across `numHosts` simulated hosts.
-DistributedResult distributedSssp(const CSRGraph& g, NodeId source, unsigned numHosts,
-                                  sim::NetworkModel netModel = {});
+DistributedResult distributedSssp(const CSRGraph& g, NodeId source, unsigned numHosts);
 
 /// BFS levels (SSSP over unit weights, computed on integral level labels).
-DistributedResult distributedBfs(const CSRGraph& g, NodeId source, unsigned numHosts,
-                                 sim::NetworkModel netModel = {});
+DistributedResult distributedBfs(const CSRGraph& g, NodeId source, unsigned numHosts);
 
 /// Connected components by min-label propagation; pass a symmetrized graph.
-DistributedResult distributedCc(const CSRGraph& g, unsigned numHosts,
-                                sim::NetworkModel netModel = {});
+DistributedResult distributedCc(const CSRGraph& g, unsigned numHosts);
 
 struct DistributedPagerankResult {
   std::vector<double> ranks;
@@ -48,7 +44,6 @@ struct DistributedPagerankResult {
 /// the edges of its owned source range.
 DistributedPagerankResult distributedPagerank(const CSRGraph& g, unsigned numHosts,
                                               double damping = 0.85, double tol = 1e-9,
-                                              int maxIters = 100,
-                                              sim::NetworkModel netModel = {});
+                                              int maxIters = 100);
 
 }  // namespace gw2v::graph

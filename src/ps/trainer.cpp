@@ -35,7 +35,7 @@ PsResult trainAsyncPs(const text::Vocabulary& vocab, std::span<const text::WordI
 
   const std::uint64_t totalRounds =
       static_cast<std::uint64_t>(opts.epochs) * opts.roundsPerEpoch;
-  sim::VirtualTimeBoard vt(opts.numHosts, opts.netModel);
+  sim::VirtualTimeBoard vt(opts.numHosts);
 
   // Rank-indexed result slots; each is written by exactly one host thread.
   std::vector<std::unique_ptr<ServerCore>> servers(numServers);
@@ -77,10 +77,10 @@ PsResult trainAsyncPs(const text::Vocabulary& vocab, std::span<const text::WordI
       }
       // Final folds happened after the last reply; surface them to makespan.
       vt.observeArrival(me, core->commitVt());
-      // BSP-equivalent comm charge (same exchangeSeconds formula the sync
-      // engines apply per round) so cluster.simulatedSeconds() is directly
+      // BSP-equivalent comm charge (the pricing the sync engines apply per
+      // round, over the whole run) so cluster.simulatedSeconds() is directly
       // comparable with the all-reduce trainers' number.
-      ctx.addModelledCommSeconds(opts.netModel.exchangeSeconds(sim::snapshot(ctx.commStats())));
+      ctx.chargeExchange({});
       servers[me] = std::move(core);
       return;
     }
@@ -150,7 +150,7 @@ PsResult trainAsyncPs(const text::Vocabulary& vocab, std::span<const text::WordI
       stampArrival(msg, vt.depart(me, msg.size()));
       net.send(me, s, kTagRequest, std::move(msg), sim::CommPhase::kControl);
     }
-    ctx.addModelledCommSeconds(opts.netModel.exchangeSeconds(sim::snapshot(ctx.commStats())));
+    ctx.chargeExchange({});
     clientStats[worker] = ws.client().stats();
     workerExamples[worker] = ws.examples();
   };
@@ -158,7 +158,6 @@ PsResult trainAsyncPs(const text::Vocabulary& vocab, std::span<const text::WordI
   sim::ClusterOptions copts;
   copts.numHosts = opts.numHosts;
   copts.workerThreadsPerHost = 1;
-  copts.networkModel = opts.netModel;
 
   PsResult result;
   result.cluster = sim::runCluster(copts, body);

@@ -47,8 +47,6 @@ struct PsTrainOptions {
   std::size_t cacheRows = 4096;
   bool trackLoss = true;
   std::uint64_t seed = 42;
-  float minAlphaFraction = 1e-4f;
-  sim::NetworkModel netModel{};
 };
 
 /// One epoch of the convergence-vs-modelled-wallclock curve.

@@ -111,8 +111,7 @@ class WorkerState {
   /// The gradient pass on the pulled snapshot; returns the round's loss sum
   /// (0 when loss tracking is off).
   double computeRound(std::uint64_t round) {
-    const float frac = 1.0f - static_cast<float>(round) / static_cast<float>(totalRounds_);
-    const float alpha = opts_.sgns.alpha * std::max(frac, opts_.minAlphaFraction);
+    const float alpha = core::decayedAlpha(opts_.sgns.alpha, round, totalRounds_);
     util::Rng rng(rngSeed(round));
     double loss = 0.0;
     core::forEachTrainingBatch(

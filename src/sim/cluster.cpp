@@ -54,7 +54,7 @@ ClusterReport runCluster(const ClusterOptions& opts,
     report.hosts[h].computeSeconds = contexts[h]->computeSeconds();
     report.hosts[h].modelledCommSeconds = contexts[h]->modelledCommSeconds();
     report.hosts[h].comm = snapshot(net.statsFor(h));
-    report.hosts[h].sync = contexts[h]->syncPhaseSeconds();
+    report.hosts[h].sync = contexts[h]->syncSeconds();
   }
   return report;
 }

@@ -1,9 +1,10 @@
 #pragma once
 
 // SPMD launcher: runs the same program body on H simulated hosts, each a
-// thread with its own HostContext (id, network endpoint, worker pool, CPU
-// busy-time clock). This is the distributed-execution substrate standing in
-// for the paper's 32-node Azure cluster — see DESIGN.md for the substitution
+// thread with its own HostContext (id, network endpoint, worker pool, and
+// the host's one clock: CPU busy time, modelled communication and the sync
+// breakdown). This is the distributed-execution substrate standing in for
+// the paper's 32-node Azure cluster — see DESIGN.md for the substitution
 // rationale.
 
 #include <exception>
@@ -11,7 +12,6 @@
 #include <memory>
 #include <vector>
 
-#include "runtime/loop_stats.h"
 #include "runtime/thread_pool.h"
 #include "sim/comm_stats.h"
 #include "sim/network.h"
@@ -20,6 +20,20 @@
 
 namespace gw2v::sim {
 
+/// Wall seconds of the sync critical path, by stage: pack, exchange (time
+/// blocked draining the fabric), fold and apply. comm::SyncEngine adds to
+/// these on the host thread every round.
+struct SyncPhaseSeconds {
+  double pack = 0.0;
+  double exchange = 0.0;
+  double fold = 0.0;
+  double apply = 0.0;
+
+  double total() const noexcept { return pack + exchange + fold + apply; }
+};
+
+/// One simulated host's view of the cluster, and its clock: the compute it
+/// spent, the communication it was charged and its sync breakdown.
 class HostContext {
  public:
   HostContext(HostId id, Network& net, unsigned workerThreads)
@@ -40,14 +54,17 @@ class HostContext {
   util::CpuStopwatch& computeTimer() noexcept { return compute_; }
   double computeSeconds() const noexcept { return compute_.seconds(); }
 
-  /// Modelled communication time accumulated by sync phases.
-  void addModelledCommSeconds(double s) noexcept { simComm_ += s; }
+  /// Charge this host for its traffic since `before` (bytes sent and
+  /// received, messages, collective rounds), priced by the default
+  /// NetworkModel — the paper's 56 Gb/s, 2 us fabric. Call it on the host
+  /// thread once the window's messages are drained.
+  void chargeExchange(const CommSnapshot& before) noexcept {
+    simComm_ += NetworkModel{}.exchangeSeconds(delta(before, snapshot(commStats())));
+  }
   double modelledCommSeconds() const noexcept { return simComm_; }
 
-  /// Wall-clock breakdown of the sync critical path (pack / exchange-wait /
-  /// fold / apply), recorded by comm::SyncEngine every round.
-  runtime::PhaseStats& syncPhases() noexcept { return syncPhases_; }
-  runtime::SyncPhaseSeconds syncPhaseSeconds() const { return syncPhases_.totals(); }
+  SyncPhaseSeconds& syncSeconds() noexcept { return sync_; }
+  const SyncPhaseSeconds& syncSeconds() const noexcept { return sync_; }
 
  private:
   HostId id_;
@@ -55,21 +72,20 @@ class HostContext {
   runtime::ThreadPool pool_;
   util::CpuStopwatch compute_;
   double simComm_ = 0.0;
-  runtime::PhaseStats syncPhases_{1};
+  SyncPhaseSeconds sync_{};
 };
 
 struct ClusterOptions {
   unsigned numHosts = 1;
   /// Hogwild worker threads *per host*.
   unsigned workerThreadsPerHost = 1;
-  NetworkModel networkModel{};
 };
 
 struct HostReport {
   double computeSeconds = 0.0;
   double modelledCommSeconds = 0.0;
   CommSnapshot comm{};
-  runtime::SyncPhaseSeconds sync{};
+  SyncPhaseSeconds sync{};
 };
 
 struct ClusterReport {
@@ -103,8 +119,8 @@ struct ClusterReport {
   }
   /// Per-phase maxima across hosts — the straggler view of where sync wall
   /// time goes (pack/exchange/fold/apply).
-  runtime::SyncPhaseSeconds maxSyncPhaseSeconds() const noexcept {
-    runtime::SyncPhaseSeconds worst{};
+  SyncPhaseSeconds maxSyncPhaseSeconds() const noexcept {
+    SyncPhaseSeconds worst{};
     for (const auto& h : hosts) {
       worst.pack = h.sync.pack > worst.pack ? h.sync.pack : worst.pack;
       worst.exchange = h.sync.exchange > worst.exchange ? h.sync.exchange : worst.exchange;

@@ -39,7 +39,7 @@ namespace gw2v::sim {
 
 class VirtualTimeBoard {
  public:
-  VirtualTimeBoard(unsigned numHosts, NetworkModel model)
+  explicit VirtualTimeBoard(unsigned numHosts, NetworkModel model = {})
       : model_(model), clock_(numHosts), nicFree_(numHosts) {}
 
   unsigned numHosts() const noexcept { return static_cast<unsigned>(clock_.size()); }

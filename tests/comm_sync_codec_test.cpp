@@ -62,7 +62,7 @@ CodecRun runScripted(unsigned hosts, SyncStrategy strategy, SyncOptions sopts,
   copts.workerThreadsPerHost = 2;
   const auto report = sim::runCluster(copts, [&](sim::HostContext& ctx) {
     ModelGraph& m = *replicas[ctx.id()];
-    SyncEngine engine(ctx, m, partition, sum, strategy, {}, sopts);
+    SyncEngine engine(ctx, m, partition, sum, strategy, sopts);
     for (unsigned r = 0; r < rounds; ++r) {
       for (std::uint32_t n = 0; n < nodes; ++n) {
         for (int l = 0; l < graph::kNumLabels; ++l) {
@@ -148,7 +148,7 @@ void runResidualProbe(SyncOptions sopts, ProbeFn probe) {
   copts.numHosts = kHosts;
   sim::runCluster(copts, [&](sim::HostContext& ctx) {
     ModelGraph& m = *replicas[ctx.id()];
-    SyncEngine engine(ctx, m, partition, sum, SyncStrategy::kRepModelOpt, {}, sopts);
+    SyncEngine engine(ctx, m, partition, sum, SyncStrategy::kRepModelOpt, sopts);
     const std::uint32_t ownRow = partition.masterRange(ctx.id()).first;
     if (ctx.id() == 1) {
       // Mixed magnitudes: 0.3 quantizes cleanly-ish, 1e-3 is far below one
@@ -229,7 +229,7 @@ TEST(SyncCodec, ErrorFeedbackRecoversSubQuantumUpdates) {
       sopts.codec = SyncCodec::kInt8;
       sopts.errorFeedback = errorFeedback;
       ModelGraph& m = *replicas[ctx.id()];
-      SyncEngine engine(ctx, m, partition, sum, SyncStrategy::kRepModelOpt, {}, sopts);
+      SyncEngine engine(ctx, m, partition, sum, SyncStrategy::kRepModelOpt, sopts);
       for (unsigned r = 0; r < kRounds; ++r) {
         if (ctx.id() == 1) {
           auto row = m.mutableRow(Label::kEmbedding, 0);

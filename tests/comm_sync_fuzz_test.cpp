@@ -225,7 +225,7 @@ Replicas runEngine(const FuzzConfig& cfg, const Reducer& reducer) {
   sopts.errorFeedback = cfg.errorFeedback;
   const auto report = sim::runCluster(copts, [&](sim::HostContext& ctx) {
     ModelGraph& model = *models[ctx.id()];
-    SyncEngine engine(ctx, model, partition, reducer, cfg.strategy, {}, sopts);
+    SyncEngine engine(ctx, model, partition, reducer, cfg.strategy, sopts);
     std::vector<float> d;
     for (unsigned round = 0; round < cfg.rounds; ++round) {
       for (int label = 0; label < graph::kNumLabels; ++label) {

@@ -133,7 +133,7 @@ void runRowExchange(SyncCodec codec, Stage stage, const Bytes& crafted,
       stage == Stage::kWants ? SyncStrategy::kPullModel : SyncStrategy::kRepModelOpt;
   runTwoHosts([&](sim::HostContext& ctx) {
     if (ctx.id() == 0) {
-      SyncEngine engine(ctx, model0, partition, sum, strategy, {}, sopts);
+      SyncEngine engine(ctx, model0, partition, sum, strategy, sopts);
       engine.sync();
       return;
     }

@@ -93,7 +93,7 @@ MtRun runScripted(unsigned hosts, unsigned threads, comm::SyncStrategy strategy,
   MtRun run;
   run.report = sim::runCluster(copts, [&](sim::HostContext& ctx) {
     ModelGraph& m = *replicas[ctx.id()];
-    comm::SyncEngine engine(ctx, m, partition, sum, strategy, {}, sopts);
+    comm::SyncEngine engine(ctx, m, partition, sum, strategy, sopts);
     util::BitVector willAccess(nodes);
     for (unsigned r = 0; r < rounds; ++r) {
       applyRoundUpdates(m, ctx.pool(), ctx.id(), r);
@@ -134,7 +134,7 @@ TEST(SyncMt, BitIdenticalAcrossThreadCounts) {
 
 TEST(SyncMt, PhaseBreakdownSurfacedInClusterReport) {
   const MtRun run = runScripted(4, 2, comm::SyncStrategy::kRepModelOpt, {});
-  const runtime::SyncPhaseSeconds worst = run.report.maxSyncPhaseSeconds();
+  const sim::SyncPhaseSeconds worst = run.report.maxSyncPhaseSeconds();
   EXPECT_GT(worst.pack, 0.0);
   EXPECT_GT(worst.fold, 0.0);
   EXPECT_GT(worst.apply, 0.0);

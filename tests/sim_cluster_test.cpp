@@ -75,16 +75,29 @@ TEST(Cluster, ComputeTimerAccumulates) {
   EXPECT_GT(report.maxComputeSeconds(), 0.0);
 }
 
+// chargeExchange prices the traffic since its snapshot, sent and received,
+// with the default fabric; traffic before the snapshot is not charged, and
+// the charges add up into the report.
 TEST(Cluster, ModelledCommSecondsFlowThrough) {
   ClusterOptions opts;
-  opts.numHosts = 1;
+  opts.numHosts = 2;
   const auto report = runCluster(opts, [&](HostContext& ctx) {
-    ctx.addModelledCommSeconds(1.25);
-    ctx.addModelledCommSeconds(0.25);
+    const HostId peer = 1 - ctx.id();
+    ctx.network().send(ctx.id(), peer, 1, std::vector<std::uint8_t>(500));
+    (void)ctx.network().recv(ctx.id(), peer, 1);
+    for (int round = 0; round < 2; ++round) {
+      const CommSnapshot before = snapshot(ctx.commStats());
+      ctx.network().send(ctx.id(), peer, 2, std::vector<std::uint8_t>(1000));
+      (void)ctx.network().recv(ctx.id(), peer, 2);
+      ctx.chargeExchange(before);
+    }
   });
-  EXPECT_DOUBLE_EQ(report.hosts[0].modelledCommSeconds, 1.5);
-  EXPECT_DOUBLE_EQ(report.maxModelledCommSeconds(), 1.5);
-  EXPECT_GE(report.simulatedSeconds(), 1.5);
+  // Each window moves one 1000-byte message each way: α + (sent + received)/β.
+  const double perRound =
+      NetworkModel{}.transferSeconds(2 * (1000 + Network::kHeaderBytes), 1);
+  for (const auto& h : report.hosts) EXPECT_DOUBLE_EQ(h.modelledCommSeconds, 2 * perRound);
+  EXPECT_DOUBLE_EQ(report.maxModelledCommSeconds(), 2 * perRound);
+  EXPECT_GE(report.simulatedSeconds(), 2 * perRound);
 }
 
 TEST(Cluster, ExceptionPropagatesFromHost) {
