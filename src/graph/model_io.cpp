@@ -2,21 +2,17 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
-#include "util/aligned.h"
-
 namespace gw2v::graph {
 
 namespace {
 constexpr char kMagic[8] = {'G', 'W', '2', 'V', 'C', 'K', 'P', 'T'};
 constexpr std::uint32_t kVersion = 2;
-constexpr std::uint32_t kVersionBlocked = 3;
 /// Longest word the vocabulary section will accept; anything bigger is a
 /// corrupt length field, not a plausible token.
 constexpr std::uint32_t kMaxWordBytes = 1u << 16;
@@ -36,13 +32,12 @@ void readOrThrow(std::FILE* f, void* data, std::size_t bytes, const std::string&
     throw std::runtime_error("loadCheckpoint: truncated file " + path);
 }
 
-/// Common prefix of v2 and v3: magic, version, shape, optional vocabulary.
-void writePrefix(std::FILE* f, std::uint32_t version, const ModelGraph& model,
-                 const text::Vocabulary* vocab) {
+/// Magic, version, shape, optional vocabulary.
+void writePrefix(std::FILE* f, const ModelGraph& model, const text::Vocabulary* vocab) {
   const std::uint32_t header[2] = {model.numNodes(), model.dim()};
   const std::uint32_t hasVocab = vocab != nullptr ? 1 : 0;
   writeOrThrow(f, kMagic, sizeof(kMagic));
-  writeOrThrow(f, &version, sizeof(version));
+  writeOrThrow(f, &kVersion, sizeof(kVersion));
   writeOrThrow(f, header, sizeof(header));
   writeOrThrow(f, &hasVocab, sizeof(hasVocab));
   if (vocab != nullptr) {
@@ -85,43 +80,11 @@ void saveCheckpoint(const std::string& path, const ModelGraph& model,
                     const text::Vocabulary* vocab) {
   checkVocabShape(model, vocab);
   saveAtomically(path, [&](std::FILE* f) {
-    writePrefix(f, kVersion, model, vocab);
+    writePrefix(f, model, vocab);
     for (int l = 0; l < kNumLabels; ++l) {
       for (std::uint32_t n = 0; n < model.numNodes(); ++n) {
         const auto row = model.row(static_cast<Label>(l), n);
         writeOrThrow(f, row.data(), row.size_bytes());
-      }
-    }
-  });
-}
-
-void saveCheckpointV3(const std::string& path, const ModelGraph& model,
-                      const text::Vocabulary* vocab, std::uint32_t rowsPerBlock) {
-  checkVocabShape(model, vocab);
-  if (rowsPerBlock == 0)
-    throw std::invalid_argument("saveCheckpointV3: rowsPerBlock must be >= 1");
-  const std::uint32_t numRows = model.numNodes();
-  const auto stride = static_cast<std::uint32_t>(util::rowStrideFloats(model.dim()));
-  const std::uint32_t blocks = numRows == 0 ? 0 : (numRows + rowsPerBlock - 1) / rowsPerBlock;
-
-  saveAtomically(path, [&](std::FILE* f) {
-    writePrefix(f, kVersionBlocked, model, vocab);
-    std::vector<float> block(static_cast<std::size_t>(rowsPerBlock) * stride);
-    for (int l = 0; l < kNumLabels; ++l) {
-      const std::uint32_t geometry[2] = {rowsPerBlock, stride};
-      writeOrThrow(f, geometry, sizeof(geometry));
-      // One block of working memory: rows faulted in order, so a spilled
-      // model with matching geometry streams each cache block exactly once.
-      for (std::uint32_t b = 0; b < blocks; ++b) {
-        std::fill(block.begin(), block.end(), 0.0f);
-        const std::uint32_t lo = b * rowsPerBlock;
-        const std::uint32_t hi = std::min(numRows, lo + rowsPerBlock);
-        for (std::uint32_t n = lo; n < hi; ++n) {
-          const auto row = model.row(static_cast<Label>(l), n);
-          std::memcpy(block.data() + static_cast<std::size_t>(n - lo) * stride, row.data(),
-                      row.size_bytes());
-        }
-        writeOrThrow(f, block.data(), block.size() * sizeof(float));
       }
     }
   });
@@ -138,7 +101,7 @@ Checkpoint loadCheckpointFull(const std::string& path) {
     throw std::runtime_error("loadCheckpoint: bad magic in " + path);
   }
   readOrThrow(f.get(), &version, sizeof(version), path);
-  if (version == 0 || version > kVersionBlocked)
+  if (version == 0 || version > kVersion)
     throw std::runtime_error("loadCheckpoint: unsupported version in " + path);
   readOrThrow(f.get(), header, sizeof(header), path);
   if (header[1] == 0) throw std::runtime_error("loadCheckpoint: bad header in " + path);
@@ -181,37 +144,10 @@ Checkpoint loadCheckpointFull(const std::string& path) {
   }
 
   // Bulk load into a fresh model: nothing to track, no deltas to capture.
-  if (version >= kVersionBlocked) {
-    // v3 blocked payload: per label, explicit geometry then zero-padded
-    // blocks. One block of working memory, rows copied out stride-wise.
-    const std::uint32_t numRows = ck.model.numNodes();
-    const std::uint32_t dim = ck.model.dim();
-    for (int l = 0; l < kNumLabels; ++l) {
-      std::uint32_t geometry[2] = {0, 0};
-      readOrThrow(f.get(), geometry, sizeof(geometry), path);
-      const std::uint32_t rowsPerBlock = geometry[0];
-      const std::uint32_t stride = geometry[1];
-      if (rowsPerBlock == 0 || stride < dim || stride - dim >= 16)
-        throw std::runtime_error("loadCheckpoint: corrupt block geometry in " + path);
-      const std::uint32_t blocks = numRows == 0 ? 0 : (numRows + rowsPerBlock - 1) / rowsPerBlock;
-      std::vector<float> block(static_cast<std::size_t>(rowsPerBlock) * stride);
-      for (std::uint32_t b = 0; b < blocks; ++b) {
-        readOrThrow(f.get(), block.data(), block.size() * sizeof(float), path);
-        const std::uint32_t lo = b * rowsPerBlock;
-        const std::uint32_t hi = std::min(numRows, lo + rowsPerBlock);
-        for (std::uint32_t n = lo; n < hi; ++n) {
-          auto row = ck.model.untrackedRow(static_cast<Label>(l), n);
-          std::memcpy(row.data(), block.data() + static_cast<std::size_t>(n - lo) * stride,
-                      row.size_bytes());
-        }
-      }
-    }
-  } else {
-    for (int l = 0; l < kNumLabels; ++l) {
-      for (std::uint32_t n = 0; n < ck.model.numNodes(); ++n) {
-        auto row = ck.model.untrackedRow(static_cast<Label>(l), n);
-        readOrThrow(f.get(), row.data(), row.size_bytes(), path);
-      }
+  for (int l = 0; l < kNumLabels; ++l) {
+    for (std::uint32_t n = 0; n < ck.model.numNodes(); ++n) {
+      auto row = ck.model.untrackedRow(static_cast<Label>(l), n);
+      readOrThrow(f.get(), row.data(), row.size_bytes(), path);
     }
   }
   // Any trailing bytes indicate corruption.

@@ -10,19 +10,10 @@
 // The vocabulary section makes a checkpoint self-contained for the serving
 // tier (serve::EmbeddingSnapshot::fromCheckpointFile). v1 files (no flag, no
 // vocabulary) still load; loadCheckpointFull reports their vocabulary as
-// absent and serving rejects them with a clear error.
+// absent and serving rejects them with a clear error. Any other version is
+// rejected as unsupported.
 //
-// Format v3 (opt-in, saveCheckpointV3): same prefix and vocabulary section,
-// then per label a u32 rowsPerBlock + u32 strideFloats pair followed by the
-// rows in store::BlockFile geometry — rowsPerBlock rows per block, each row
-// padded to strideFloats with zeros, the last block zero-filled. The blocked
-// layout streams through the out-of-core tier's cache block by block (one
-// block of working memory on both save and load), where the v2 row-at-a-time
-// layout would be equivalent but the explicit geometry lets tooling mmap or
-// slice a checkpoint without parsing rows. Default saves stay v2: every
-// golden byte lock and external consumer keeps working unchanged.
-//
-// All saves (v2 and v3) are crash-safe: the file is staged at path + ".tmp",
+// Saves are crash-safe: the file is staged at path + ".tmp",
 // fsynced, and atomically renamed into place, so a crash mid-save leaves the
 // previous checkpoint (or nothing) — never a torn file.
 
@@ -39,14 +30,7 @@ namespace gw2v::graph {
 void saveCheckpoint(const std::string& path, const ModelGraph& model,
                     const text::Vocabulary* vocab = nullptr);
 
-/// Writes format v3 (blocked payload, see header comment). rowsPerBlock
-/// should match the spill geometry when the model is out-of-core so save
-/// faults each block exactly once, but any value >= 1 is valid.
-void saveCheckpointV3(const std::string& path, const ModelGraph& model,
-                      const text::Vocabulary* vocab = nullptr,
-                      std::uint32_t rowsPerBlock = 64);
-
-/// Model only (v1, v2, or v3 input; an embedded vocabulary is validated but
+/// Model only (v1 or v2 input; an embedded vocabulary is validated but
 /// dropped). Throws std::runtime_error on missing/corrupt/truncated files.
 ModelGraph loadCheckpoint(const std::string& path);
 

@@ -134,28 +134,6 @@ void RandomWalker::walk(NodeId start, unsigned rep, unsigned epoch,
   }
 }
 
-std::vector<double> RandomWalker::transitionProbs(NodeId prev, NodeId cur) const {
-  const auto nbrs = g_.neighbors(cur);
-  const auto w = g_.weights(cur);
-  std::vector<double> probs(nbrs.size(), 0.0);
-  const bool biased = secondOrder_ && prev != kNoPrev;
-  const double invP = 1.0 / opts_.p;
-  const double invQ = 1.0 / opts_.q;
-  double total = 0.0;
-  for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    double m = 1.0;
-    if (biased) {
-      const NodeId x = nbrs[i];
-      m = x == prev ? invP : adjacent(prev, x) ? 1.0 : invQ;
-    }
-    probs[i] = static_cast<double>(w[i]) * m;
-    total += probs[i];
-  }
-  if (total > 0.0)
-    for (double& pr : probs) pr /= total;
-  return probs;
-}
-
 // ---------------------------------------------------------------------------
 
 class RandomWalkCorpus::Shard final : public text::CorpusShard {

@@ -95,11 +95,6 @@ class RandomWalker {
   /// round accounting needs exact per-epoch token counts).
   void walk(NodeId start, unsigned rep, unsigned epoch, std::span<NodeId> out) const;
 
-  /// Exact second-order transition distribution over neighbors(cur), in
-  /// adjacency order, given the walk arrived from `prev` (kNoPrev =>
-  /// first-order). Reference for testing the samplers; O(degree) per call.
-  std::vector<double> transitionProbs(NodeId prev, NodeId cur) const;
-
  private:
   bool adjacent(NodeId u, NodeId x) const noexcept;
 

@@ -1,16 +1,16 @@
 #pragma once
 
-// Chunked MPMC work queue — the Galois "chunked FIFO" worklist used by
-// data-driven graph algorithms (e.g. the BFS and worklist-SSSP frontiers).
+// Chunked concurrent work bag — the Galois InsertBag shape used by
+// data-driven graph algorithms (the BFS and worklist-SSSP frontiers): any
+// thread pushes during a round, and the next frontier is drained in one go
+// after it.
 //
-// Items are pushed/popped in fixed-size chunks to amortize the lock; this is
-// deliberately a simple mutex-based structure (the graph-analytics validation
-// workloads are not lock-bound at our scales) with the same interface shape
-// as Galois' InsertBag/ChunkedFIFO.
+// Items land in fixed-size chunks under one mutex; this is deliberately a
+// simple structure (the graph-analytics validation workloads are not
+// lock-bound at our scales).
 
 #include <cstddef>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 namespace gw2v::runtime {
@@ -26,29 +26,6 @@ class WorkQueue {
     }
     chunks_.back().push_back(item);
     ++size_;
-  }
-
-  template <typename It>
-  void pushRange(It first, It last) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (; first != last; ++first) {
-      if (chunks_.empty() || chunks_.back().size() == ChunkSize) {
-        chunks_.emplace_back();
-        chunks_.back().reserve(ChunkSize);
-      }
-      chunks_.back().push_back(*first);
-      ++size_;
-    }
-  }
-
-  /// Pop a whole chunk at once; empty optional when the queue is drained.
-  std::optional<std::vector<T>> popChunk() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (chunks_.empty()) return std::nullopt;
-    std::vector<T> out = std::move(chunks_.back());
-    chunks_.pop_back();
-    size_ -= out.size();
-    return out;
   }
 
   bool empty() const {

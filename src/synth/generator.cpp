@@ -140,44 +140,4 @@ std::vector<AnalogyCategory> CorpusGenerator::analogySuite(
   return suite;
 }
 
-std::vector<SimilarityJudgement> CorpusGenerator::similaritySuite(
-    unsigned pairsPerLevel) const {
-  std::vector<SimilarityJudgement> out;
-  util::Rng rng(spec_.seed ^ 0x51515151ULL);
-  const unsigned numRelations = static_cast<unsigned>(spec_.relations.size());
-  const auto randomRelation = [&] { return static_cast<unsigned>(rng.bounded(numRelations)); };
-  const auto randomPair = [&](unsigned r) {
-    return static_cast<unsigned>(rng.bounded(spec_.relations[r].pairs));
-  };
-
-  for (unsigned k = 0; k < pairsPerLevel; ++k) {
-    {
-      const unsigned r = randomRelation();
-      const unsigned p = randomPair(r);
-      out.push_back({aWord(r, p), bWord(r, p), 3.0});
-    }
-    {
-      const unsigned r = randomRelation();
-      const unsigned p = randomPair(r);
-      unsigned q = randomPair(r);
-      if (q == p) q = (q + 1) % spec_.relations[r].pairs;
-      if (q != p) out.push_back({aWord(r, p), aWord(r, q), 2.0});
-    }
-    {
-      const unsigned r = randomRelation();
-      unsigned s = randomRelation();
-      if (s == r) s = (s + 1) % numRelations;
-      if (s != r) out.push_back({aWord(r, randomPair(r)), aWord(s, randomPair(s)), 1.0});
-    }
-    {
-      const unsigned r = randomRelation();
-      // Mid-rank filler: frequent enough to survive min-count, not a stopword.
-      const auto filler = fillerWord(static_cast<std::uint32_t>(
-          5 + rng.bounded(spec_.fillerVocab > 50 ? 45 : spec_.fillerVocab - 5)));
-      out.push_back({aWord(r, randomPair(r)), filler, 0.0});
-    }
-  }
-  return out;
-}
-
 }  // namespace gw2v::synth

@@ -21,13 +21,6 @@ struct AnalogyCategory {
   std::vector<AnalogyQuestion> questions;
 };
 
-/// Graded similarity judgement derived from the planted structure (for the
-/// WordSim-style evaluation): higher gold = more related by construction.
-struct SimilarityJudgement {
-  std::string first, second;
-  double gold = 0.0;
-};
-
 class CorpusGenerator {
  public:
   explicit CorpusGenerator(CorpusSpec spec);
@@ -39,11 +32,6 @@ class CorpusGenerator {
   /// Analogy evaluation suite derived from the planted relations: all
   /// ordered pairs (i, j), i != j, within each relation, capped per category.
   std::vector<AnalogyCategory> analogySuite(unsigned maxQuestionsPerCategory = 240) const;
-
-  /// Word-similarity suite: gold 3 = same planted pair (a_i, b_i); gold 2 =
-  /// same relation, same side (a_i, a_j); gold 1 = planted words of
-  /// different relations; gold 0 = planted word vs filler.
-  std::vector<SimilarityJudgement> similaritySuite(unsigned pairsPerLevel = 60) const;
 
   const CorpusSpec& spec() const noexcept { return spec_; }
 

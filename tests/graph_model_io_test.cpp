@@ -205,6 +205,23 @@ TEST(ModelIoV2, TruncatedVocabSectionThrows) {
   std::remove(path.c_str());
 }
 
+TEST(ModelIo, Version3IsUnsupported) {
+  // Version 3 (a blocked payload layout) is retired: such a file is refused
+  // before any payload is read.
+  ModelGraph model(4, 2);
+  const std::string path = tempPath("gw2v_ckpt_v3.bin");
+  saveCheckpoint(path, model);
+  const std::uint32_t version = 3;
+  patchBytes(path, 8, &version, sizeof(version));  // right after the magic
+  try {
+    (void)loadCheckpoint(path);
+    ADD_FAILURE() << "a version-3 checkpoint loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version"), std::string::npos) << e.what();
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ModelIo, ZeroNodeModelRoundTrips) {
   ModelGraph model(0, 3);
   const std::string path = tempPath("gw2v_ckpt_empty.bin");
@@ -240,8 +257,6 @@ TEST(ModelIoCrash, SaveLeavesNoTmpBehind) {
   const std::string path = tempPath("gw2v_ckpt_atomic.bin");
   saveCheckpoint(path, model);
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-  saveCheckpointV3(path, model);
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   std::remove(path.c_str());
 }
 
@@ -265,70 +280,6 @@ TEST(ModelIoCrash, PartialWriteThenRenameRecovery) {
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   EXPECT_EQ(fileBytes(path), goodBytes);
   std::remove(path.c_str());
-}
-
-// ---- v3: blocked payload ----
-
-TEST(ModelIoV3, RoundTripWithVocabAndPadding) {
-  ModelGraph model(10, 3);  // stride pads 3 -> 16, last block partial
-  model.randomizeEmbeddings(17);
-  const text::Vocabulary vocab = makeVocab(10);
-  const std::string path = tempPath("gw2v_ckpt_v3.bin");
-  saveCheckpointV3(path, model, &vocab, 4);
-  const Checkpoint ck = loadCheckpointFull(path);
-  ASSERT_TRUE(ck.vocab.has_value());
-  EXPECT_EQ(ck.vocab->size(), 10u);
-  for (int l = 0; l < kNumLabels; ++l) {
-    for (std::uint32_t n = 0; n < 10; ++n) {
-      const auto a = model.row(static_cast<Label>(l), n);
-      const auto b = ck.model.row(static_cast<Label>(l), n);
-      for (std::uint32_t d = 0; d < 3; ++d) ASSERT_EQ(a[d], b[d]);
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(ModelIoV3, CorruptGeometryThrows) {
-  ModelGraph model(4, 2);
-  const std::string path = tempPath("gw2v_ckpt_v3_geom.bin");
-  saveCheckpointV3(path, model, nullptr, 2);
-  // First label's rowsPerBlock sits right after the 24-byte preamble.
-  const std::uint32_t zero = 0;
-  patchBytes(path, 24, &zero, sizeof(zero));
-  EXPECT_THROW(loadCheckpoint(path), std::runtime_error);
-  std::remove(path.c_str());
-}
-
-TEST(ModelIoV3, TruncatedBlockPayloadThrows) {
-  ModelGraph model(9, 4);
-  model.randomizeEmbeddings(1);
-  const std::string path = tempPath("gw2v_ckpt_v3_trunc.bin");
-  saveCheckpointV3(path, model, nullptr, 4);
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fclose(f);
-  EXPECT_EQ(truncate(path.c_str(), size - 10), 0);
-  EXPECT_THROW(loadCheckpoint(path), std::runtime_error);
-  std::remove(path.c_str());
-}
-
-TEST(ModelIoV3, TrailingBytesThrow) {
-  ModelGraph model(4, 2);
-  const std::string path = tempPath("gw2v_ckpt_v3_trailing.bin");
-  saveCheckpointV3(path, model);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    out << "junk";
-  }
-  EXPECT_THROW(loadCheckpoint(path), std::runtime_error);
-  std::remove(path.c_str());
-}
-
-TEST(ModelIoV3, RejectsZeroRowsPerBlock) {
-  ModelGraph model(4, 2);
-  EXPECT_THROW(saveCheckpointV3(tempPath("gw2v_ckpt_v3_bad.bin"), model, nullptr, 0),
-               std::invalid_argument);
 }
 
 }  // namespace

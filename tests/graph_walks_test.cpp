@@ -115,11 +115,41 @@ TEST(Walker, DeadEndTeleportsToStart) {
   EXPECT_EQ(walk, expected);
 }
 
+/// Exact node2vec transition distribution over neighbors(cur), in adjacency
+/// order, given the walk arrived from `prev` (kNoPrev => first-order): edge
+/// weight times 1/p for a return, 1 for a neighbour of prev, 1/q otherwise,
+/// normalized. The reference the samplers are checked against.
+std::vector<double> transitionProbs(const RandomWalker& w, NodeId prev, NodeId cur) {
+  const CSRGraph& g = w.graph();
+  const auto nbrs = g.neighbors(cur);
+  const auto weights = g.weights(cur);
+  const bool biased =
+      (w.options().p != 1.0f || w.options().q != 1.0f) && prev != RandomWalker::kNoPrev;
+  const double invP = 1.0 / w.options().p;
+  const double invQ = 1.0 / w.options().q;
+  const auto prevNbrs = biased ? g.neighbors(prev) : std::span<const NodeId>{};
+  std::vector<double> probs(nbrs.size(), 0.0);
+  double total = 0.0;
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    double m = 1.0;
+    if (biased) {
+      const NodeId x = nbrs[i];
+      const bool adjacent = std::find(prevNbrs.begin(), prevNbrs.end(), x) != prevNbrs.end();
+      m = x == prev ? invP : adjacent ? 1.0 : invQ;
+    }
+    probs[i] = static_cast<double>(weights[i]) * m;
+    total += probs[i];
+  }
+  if (total > 0.0)
+    for (double& pr : probs) pr /= total;
+  return probs;
+}
+
 /// Empirical step() frequencies vs the exact reference distribution.
 void expectSamplerMatchesReference(const CSRGraph& g, const RandomWalker& w, NodeId prev,
                                    NodeId cur, std::uint64_t samples, double tol) {
   const auto nbrs = g.neighbors(cur);
-  const auto probs = w.transitionProbs(prev, cur);
+  const auto probs = transitionProbs(w, prev, cur);
   std::map<NodeId, double> want;
   for (std::size_t i = 0; i < nbrs.size(); ++i) want[nbrs[i]] += probs[i];
   std::map<NodeId, std::uint64_t> got;
@@ -143,7 +173,7 @@ TEST(Walker, TransitionProbsMatchNaiveReference) {
   // Naive reference computed by hand for prev=0, cur=1:
   // neighbors(1) = {0 (w1), 2 (w1), 3 (w2)} with biases 1/p=0.25, 1 (2 adj 0),
   // 1/q=4 (3 not adj 0) => weights {0.25, 1, 8}, total 9.25.
-  const auto probs = w.transitionProbs(0, 1);
+  const auto probs = transitionProbs(w, 0, 1);
   const auto nbrs = g.neighbors(1);
   std::map<NodeId, double> byNode;
   for (std::size_t i = 0; i < nbrs.size(); ++i) byNode[nbrs[i]] = probs[i];
@@ -152,7 +182,7 @@ TEST(Walker, TransitionProbsMatchNaiveReference) {
   EXPECT_NEAR(byNode[3], 8.0 / 9.25, 1e-12);
 
   // First-order (no prev): plain weighted distribution.
-  const auto first = w.transitionProbs(RandomWalker::kNoPrev, 1);
+  const auto first = transitionProbs(w, RandomWalker::kNoPrev, 1);
   std::map<NodeId, double> firstBy;
   for (std::size_t i = 0; i < nbrs.size(); ++i) firstBy[nbrs[i]] = first[i];
   EXPECT_NEAR(firstBy[0], 1.0 / 4.0, 1e-12);
@@ -186,10 +216,13 @@ TEST(Walker, ExtremeBiasHitsExactFallbackAndStaysCorrect) {
   std::uint64_t to3 = 0;
   for (int s = 0; s < 2000; ++s) to3 += w.step(0, 1, rng) == 3 ? 1 : 0;
   EXPECT_GT(to3, 1990u);
-  const auto probs = w.transitionProbs(0, 1);
+  const auto probs = transitionProbs(w, 0, 1);
   const auto nbrs = g.neighbors(1);
-  for (std::size_t i = 0; i < nbrs.size(); ++i)
-    if (nbrs[i] == 3) EXPECT_GT(probs[i], 0.999);
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    if (nbrs[i] == 3) {
+      EXPECT_GT(probs[i], 0.999);
+    }
+  }
 }
 
 TEST(WalkCorpus, ExactTokenAccountingAndVocabEncoding) {

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <set>
 #include <vector>
 
@@ -168,34 +167,22 @@ TEST(WorkQueue, PushPopAll) {
   EXPECT_EQ(unique.size(), 100u);
 }
 
-TEST(WorkQueue, PopChunkReturnsChunks) {
-  WorkQueue<int, 4> q;
-  for (int i = 0; i < 10; ++i) q.push(i);
-  std::size_t total = 0;
-  while (auto chunk = q.popChunk()) total += chunk->size();
-  EXPECT_EQ(total, 10u);
-  EXPECT_FALSE(q.popChunk().has_value());
-}
-
-TEST(WorkQueue, PushRange) {
-  WorkQueue<int, 16> q;
-  std::vector<int> src(37);
-  std::iota(src.begin(), src.end(), 0);
-  q.pushRange(src.begin(), src.end());
-  EXPECT_EQ(q.size(), 37u);
-}
-
+// Every worker pushes at once (the frontier-building pattern); one drain
+// afterwards returns each item exactly once.
 TEST(WorkQueue, ConcurrentProducersConsumers) {
   WorkQueue<int, 32> q;
   ThreadPool pool(4);
-  std::atomic<int> consumed{0};
   pool.onEach([&](unsigned tid) {
     for (int i = 0; i < 1000; ++i) q.push(static_cast<int>(tid) * 1000 + i);
   });
-  pool.onEach([&](unsigned) {
-    while (auto chunk = q.popChunk()) consumed.fetch_add(static_cast<int>(chunk->size()));
-  });
-  EXPECT_EQ(consumed.load(), 4000);
+  EXPECT_EQ(q.size(), 4000u);
+  const std::vector<int> all = q.drain();
+  EXPECT_TRUE(q.empty());
+  ASSERT_EQ(all.size(), 4000u);
+  const std::set<int> unique(all.begin(), all.end());
+  EXPECT_EQ(unique.size(), 4000u);
+  EXPECT_EQ(*unique.begin(), 0);
+  EXPECT_EQ(*unique.rbegin(), 3999);
 }
 
 }  // namespace

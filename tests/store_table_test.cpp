@@ -189,10 +189,6 @@ TEST(StoredTable, CheckpointSaveFromSpilledModelIsByteIdentical) {
   graph::saveCheckpoint(fromSpill, spilled);
   EXPECT_EQ(fileBytes(fromRam), fileBytes(fromSpill));
 
-  graph::saveCheckpointV3(fromRam, ram, nullptr, 2);
-  graph::saveCheckpointV3(fromSpill, spilled, nullptr, 2);
-  EXPECT_EQ(fileBytes(fromRam), fileBytes(fromSpill));
-
   std::remove(fromRam.c_str());
   std::remove(fromSpill.c_str());
   std::filesystem::remove_all(dir);
@@ -246,24 +242,6 @@ TEST(StoredTable, RejectsBadSpills) {
   model::EmbeddingTable t(4, 4);
   StoreOptions noPath;
   EXPECT_THROW(spillTable(t, noPath), std::invalid_argument);
-}
-
-TEST(StoredTable, V3CheckpointRoundTripsThroughLoader) {
-  graph::ModelGraph model(19, 5);
-  model.randomizeEmbeddings(2);
-  const std::string path = tempPath("st_v3.bin");
-  graph::saveCheckpointV3(path, model, nullptr, 4);
-  const graph::ModelGraph loaded = graph::loadCheckpoint(path);
-  ASSERT_EQ(loaded.numNodes(), 19u);
-  ASSERT_EQ(loaded.dim(), 5u);
-  for (int l = 0; l < graph::kNumLabels; ++l) {
-    for (std::uint32_t n = 0; n < 19; ++n) {
-      const auto a = model.row(static_cast<graph::Label>(l), n);
-      const auto b = loaded.row(static_cast<graph::Label>(l), n);
-      for (std::uint32_t d = 0; d < 5; ++d) ASSERT_EQ(a[d], b[d]);
-    }
-  }
-  std::remove(path.c_str());
 }
 
 }  // namespace

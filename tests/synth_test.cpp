@@ -150,44 +150,5 @@ TEST(Catalog, UnknownNameThrows) {
   EXPECT_THROW(datasetByName("imagenet"), std::invalid_argument);
 }
 
-TEST(SimilaritySuite, HasAllFourGoldLevels) {
-  const CorpusGenerator gen(tinySpec());
-  const auto suite = gen.similaritySuite(40);
-  unsigned byLevel[4] = {0, 0, 0, 0};
-  for (const auto& j : suite) {
-    ASSERT_GE(j.gold, 0.0);
-    ASSERT_LE(j.gold, 3.0);
-    ++byLevel[static_cast<int>(j.gold)];
-    EXPECT_NE(j.first, j.second);
-  }
-  for (int level = 0; level < 4; ++level) EXPECT_GT(byLevel[level], 20u) << "level " << level;
-}
-
-TEST(SimilaritySuite, Deterministic) {
-  const CorpusGenerator gen(tinySpec());
-  const auto a = gen.similaritySuite(10);
-  const auto b = gen.similaritySuite(10);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].first, b[i].first);
-    EXPECT_EQ(a[i].second, b[i].second);
-    EXPECT_EQ(a[i].gold, b[i].gold);
-  }
-}
-
-TEST(SimilaritySuite, SamePairLevelUsesMatchingIndices) {
-  const CorpusGenerator gen(tinySpec());
-  for (const auto& j : gen.similaritySuite(30)) {
-    if (j.gold != 3.0) continue;
-    // "rXaP" vs "rXbP": same relation, same pair index.
-    const auto aPos = j.first.find('a');
-    const auto bPos = j.second.find('b');
-    ASSERT_NE(aPos, std::string::npos);
-    ASSERT_NE(bPos, std::string::npos);
-    EXPECT_EQ(j.first.substr(0, aPos), j.second.substr(0, bPos));
-    EXPECT_EQ(j.first.substr(aPos + 1), j.second.substr(bPos + 1));
-  }
-}
-
 }  // namespace
 }  // namespace gw2v::synth
