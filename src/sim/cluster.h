@@ -64,7 +64,6 @@ class HostContext {
   double modelledCommSeconds() const noexcept { return simComm_; }
 
   SyncPhaseSeconds& syncSeconds() noexcept { return sync_; }
-  const SyncPhaseSeconds& syncSeconds() const noexcept { return sync_; }
 
  private:
   HostId id_;
