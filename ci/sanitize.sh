@@ -36,7 +36,11 @@ if [[ "$SANITIZE" == *thread* ]]; then
   # the SGNS edge stream, at one worker thread per host, plus the async
   # PS with one thread per rank), and the per-pair kernel oracle
   # (KernelOracle.*: sgnsStep/hsStep/cbowStep against their unfused loops
-  # at every SIMD tier, single-threaded) — must be race-free.
+  # at every SIMD tier, single-threaded), and the receive-window test and
+  # the modelled-comm golden (Network.ReceiveCountsInTheDrainingWindow,
+  # ModelledCommGolden.*: one thread per host; a message's receive is
+  # credited by the receiving thread when it drains it, and each host's
+  # charges are added on its own thread) — must be race-free.
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" -E 'Hogwild'
 else
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
