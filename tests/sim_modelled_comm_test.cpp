@@ -124,7 +124,8 @@ const Inputs& inputs() {
   return in;
 }
 
-sim::ClusterReport trainSgns(unsigned hosts, comm::SyncStrategy strategy, comm::SyncCodec codec) {
+sim::ClusterReport trainSgns(unsigned hosts, comm::SyncStrategy strategy,
+                             comm::SyncCodec codec) {
   core::TrainOptions o;
   o.sgns = inputs().sgns();
   o.epochs = 2;
@@ -220,8 +221,8 @@ TEST_P(ModelledCommGolden, PerHostSecondsLocked) {
     const double want = std::strtod(it->second[h].c_str(), nullptr);
     const double have = std::strtod(got[h].c_str(), nullptr);
     EXPECT_GT(have, 0.0) << c.name << " host " << h << " charged no communication";
-    EXPECT_EQ(got[h], it->second[h])
-        << c.name << " host " << h << ": modelled comm " << have << " s, golden " << want << " s";
+    EXPECT_EQ(got[h], it->second[h]) << c.name << " host " << h << ": modelled comm " << have
+                                     << " s, golden " << want << " s";
   }
 }
 
