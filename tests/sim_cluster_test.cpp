@@ -100,6 +100,32 @@ TEST(Cluster, ModelledCommSecondsFlowThrough) {
   EXPECT_GE(report.simulatedSeconds(), 2 * perRound);
 }
 
+// The sync engine adds each round's phase seconds to its host's
+// syncSeconds(); the report carries them per host, and maxSyncPhaseSeconds
+// takes each phase's maximum over hosts (the straggler view).
+TEST(Cluster, SyncSecondsFlowIntoTheReport) {
+  ClusterOptions opts;
+  opts.numHosts = 2;
+  const auto report = runCluster(opts, [&](HostContext& ctx) {
+    SyncPhaseSeconds& s = ctx.syncSeconds();
+    const double scale = ctx.id() == 0 ? 1.0 : 2.0;
+    for (int round = 0; round < 2; ++round) {
+      s.pack += 0.5 * scale;
+      s.exchange += 0.25 / scale;
+      s.fold += 0.125;
+      s.apply += 0.0625 * scale;
+    }
+  });
+  EXPECT_DOUBLE_EQ(report.hosts[0].sync.pack, 1.0);
+  EXPECT_DOUBLE_EQ(report.hosts[1].sync.exchange, 0.25);
+  EXPECT_DOUBLE_EQ(report.hosts[0].sync.total(), 1.0 + 0.5 + 0.25 + 0.125);
+  const SyncPhaseSeconds worst = report.maxSyncPhaseSeconds();
+  EXPECT_DOUBLE_EQ(worst.pack, 2.0);
+  EXPECT_DOUBLE_EQ(worst.exchange, 0.5);
+  EXPECT_DOUBLE_EQ(worst.fold, 0.25);
+  EXPECT_DOUBLE_EQ(worst.apply, 0.25);
+}
+
 TEST(Cluster, ExceptionPropagatesFromHost) {
   ClusterOptions opts;
   opts.numHosts = 3;
