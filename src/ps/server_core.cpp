@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "util/timer.h"
 #include "util/vecmath.h"
@@ -11,6 +12,17 @@ namespace gw2v::ps {
 
 namespace {
 graph::Label asLabel(int l) noexcept { return static_cast<graph::Label>(l); }
+
+/// Request fields come off the wire, so every check that guards an index or
+/// a protocol invariant throws — the sync decoders' error type — instead of
+/// asserting.
+[[noreturn]] void reject(const char* what) {
+  throw std::runtime_error(std::string("ServerCore: ") + what);
+}
+
+/// Wire bytes of one Get row reference: [u32 row] + one u64 version per label.
+constexpr std::size_t kGetRowBytes =
+    sizeof(std::uint32_t) + graph::kNumLabels * sizeof(std::uint64_t);
 }  // namespace
 
 ServerCore::ServerCore(const PsConfig& cfg, std::pair<std::uint32_t, std::uint32_t> ownRange,
@@ -39,34 +51,48 @@ ServerCore::ServerCore(const PsConfig& cfg, std::pair<std::uint32_t, std::uint32
   dec_.resize(cfg_.dim);
 }
 
+void ServerCore::requireLiveWorker(unsigned worker) const {
+  if (worker >= numWorkers_) reject("request from an unknown worker");
+  if (done_[worker]) reject("request after Done");
+}
+
+void ServerCore::requireOwnedRow(std::uint32_t row) const {
+  if (row < ownRange_.first || row >= ownRange_.second) reject("row outside the owned range");
+}
+
 void ServerCore::onGet(unsigned worker, double arriveVt, comm::ByteReader& r) {
-  assert(worker < numWorkers_ && !done_[worker]);
+  requireLiveWorker(worker);
   const double t0 = util::ThreadCpuTimer::now();
   ParkedGet& g = parked_[worker];
-  assert(!g.active && "protocol: one outstanding Get per worker");
-  g.round = r.get<std::uint64_t>();
-  assert(g.round == servedRounds_[worker] && "protocol: rounds are sequential");
+  if (g.active) reject("second outstanding Get");
+  const auto round = r.get<std::uint64_t>();
+  if (round != servedRounds_[worker]) reject("Get for an out-of-sequence round");
   const auto count = r.get<std::uint32_t>();
+  if (count > r.remaining() / kGetRowBytes) reject("Get row count exceeds the message");
   g.rows.clear();
   g.rows.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     RowRef ref;
     ref.row = r.get<std::uint32_t>();
     for (int l = 0; l < graph::kNumLabels; ++l) ref.cachedVer[l] = r.get<std::uint64_t>();
-    assert(ref.row >= ownRange_.first && ref.row < ownRange_.second);
+    requireOwnedRow(ref.row);
     g.rows.push_back(ref);
   }
+  g.round = round;
   g.arriveVt = arriveVt + (util::ThreadCpuTimer::now() - t0);
   g.active = true;
   if (commitLevel_ < neededLevel(g.round)) ++stats_.parkedGets;
 }
 
 void ServerCore::onAdd(unsigned worker, double arriveVt, comm::ByteReader& r) {
-  assert(worker < numWorkers_ && !done_[worker]);
+  requireLiveWorker(worker);
   const double t0 = util::ThreadCpuTimer::now();
   const auto clock = r.get<std::uint64_t>();
   const bool lastChunk = r.get<std::uint8_t>() != 0;
-  if (clock < commitLevel_) throw std::logic_error("ServerCore: Add for a folded clock");
+  // An Add for clock k only ever follows the served Get of round k, so the
+  // upper bound also caps how far pending_ can run ahead of the commit level.
+  if (clock < commitLevel_) reject("Add for a folded clock");
+  if (clock >= servedRounds_[worker]) reject("Add for a clock whose Get was not served");
   const std::size_t idx = static_cast<std::size_t>(clock - commitLevel_);
   while (pending_.size() <= idx) {
     if (!clockPool_.empty()) {
@@ -78,12 +104,13 @@ void ServerCore::onAdd(unsigned worker, double arriveVt, comm::ByteReader& r) {
     }
   }
   WorkerAdds& wa = pending_[idx].byWorker[worker];
-  assert(!wa.complete && "protocol: chunks after lastChunk");
+  if (wa.complete) reject("Add chunk after lastChunk");
   const auto count = r.get<std::uint32_t>();
   for (std::uint32_t i = 0; i < count; ++i) {
     const int label = r.get<std::uint8_t>();
+    if (label >= graph::kNumLabels) reject("Add with an unknown label");
     const auto row = r.get<std::uint32_t>();
-    assert(row >= ownRange_.first && row < ownRange_.second);
+    requireOwnedRow(row);
     LabelAdds& la = wa.perLabel[label];
     la.rows.push_back(row);
     const std::size_t at = la.values.size();
@@ -101,7 +128,7 @@ void ServerCore::onAdd(unsigned worker, double arriveVt, comm::ByteReader& r) {
 }
 
 void ServerCore::onDone(unsigned worker) {
-  assert(worker < numWorkers_ && !done_[worker]);
+  requireLiveWorker(worker);
   done_[worker] = 1;
   ++doneCount_;
 }

@@ -89,6 +89,13 @@ class ServerCore {
 
   /// Feed one Get body (post-envelope); `arriveVt` is the modelled arrival
   /// time. Reply is emitted by the next pump().
+  ///
+  /// The three request handlers validate every wire field before using it
+  /// and throw std::runtime_error on a malformed or out-of-protocol request:
+  /// an unknown or Done worker, a second outstanding Get, a Get whose round
+  /// is not the worker's next, a row outside ownRange(), an unknown label,
+  /// a chunk after lastChunk, or an Add clock outside
+  /// [commitLevel(), rounds served to that worker).
   void onGet(unsigned worker, double arriveVt, comm::ByteReader& r);
   /// Feed one Add chunk body (post-envelope).
   void onAdd(unsigned worker, double arriveVt, comm::ByteReader& r);
@@ -135,6 +142,8 @@ class ServerCore {
     bool active = false;
   };
 
+  void requireLiveWorker(unsigned worker) const;
+  void requireOwnedRow(std::uint32_t row) const;
   bool tryFold();
   bool serveReady(const Emit& emit);
   void serve(unsigned worker, ParkedGet& g, const Emit& emit);

@@ -4,7 +4,9 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -361,6 +363,80 @@ TEST(PsServerCore, LossyRepliesAreEncodedOncePerVersion) {
   EXPECT_EQ(sink.replies[2].rows[1].ver[0], 0u);
   ASSERT_TRUE(sink.replies[2].rows[1].fresh[0]);
   EXPECT_EQ(sink.replies[2].rows[1].values[0], sink.replies[0].rows[1].values[0]);
+}
+
+TEST(PsServerCore, RejectsMalformedRequests) {
+  // Request fields come off the wire: each crafted body below breaks one
+  // check and must throw, never assert or index out of range.
+  const auto cfg = config(0);
+  comm::SumReducer sum;
+  const auto fresh = [&] {
+    return std::make_unique<ServerCore>(cfg, std::pair{2u, 6u}, 2, sum, kSeed);
+  };
+  const auto served = [&] {  // worker 0's round-0 Get already served
+    auto core = fresh();
+    Sink sink(cfg);
+    feedGet(*core, 0, getUncached(0, {2}));
+    core->pump(sink.fn());
+    return core;
+  };
+  const std::vector<float> delta(kDim, 1.0f);
+
+  // Unknown worker, and any request after Done.
+  EXPECT_THROW(feedGet(*fresh(), 2, getUncached(0, {2})), std::runtime_error);
+  EXPECT_THROW(feedAdd(*fresh(), 2, addBody(cfg, 0, {})), std::runtime_error);
+  EXPECT_THROW(fresh()->onDone(2), std::runtime_error);
+  {
+    auto core = fresh();
+    core->onDone(0);
+    EXPECT_THROW(feedGet(*core, 0, getUncached(0, {2})), std::runtime_error);
+    EXPECT_THROW(feedAdd(*core, 0, addBody(cfg, 0, {})), std::runtime_error);
+    EXPECT_THROW(core->onDone(0), std::runtime_error);
+  }
+
+  // Get: a second outstanding one, rounds out of sequence, foreign rows, and
+  // a row count larger than the message could hold.
+  {
+    auto core = fresh();
+    feedGet(*core, 0, getUncached(0, {2}));
+    EXPECT_THROW(feedGet(*core, 0, getUncached(0, {2})), std::runtime_error);
+  }
+  EXPECT_THROW(feedGet(*fresh(), 0, getUncached(1, {2})), std::runtime_error);
+  EXPECT_THROW(feedGet(*served(), 0, getUncached(0, {2})), std::runtime_error);
+  EXPECT_THROW(feedGet(*fresh(), 0, getUncached(0, {1})), std::runtime_error);
+  EXPECT_THROW(feedGet(*fresh(), 0, getUncached(0, {6})), std::runtime_error);
+  {
+    comm::ByteWriter w;
+    w.put(std::uint64_t{0});
+    w.put(~std::uint32_t{0});
+    EXPECT_THROW(feedGet(*fresh(), 0, w.take()), std::runtime_error);
+  }
+
+  // Add: an unknown label, foreign rows, a chunk after lastChunk, and clocks
+  // outside [commit level, rounds served to the worker).
+  EXPECT_THROW(feedAdd(*served(), 0, addBody(cfg, 0, {{graph::kNumLabels, 2, delta}})),
+               std::runtime_error);
+  EXPECT_THROW(feedAdd(*served(), 0, addBody(cfg, 0, {{0, 6, delta}})), std::runtime_error);
+  {
+    auto core = served();
+    feedAdd(*core, 0, addBody(cfg, 0, {{0, 2, delta}}));
+    EXPECT_THROW(feedAdd(*core, 0, addBody(cfg, 0, {})), std::runtime_error);
+  }
+  EXPECT_THROW(feedAdd(*fresh(), 0, addBody(cfg, 0, {})), std::runtime_error);
+  EXPECT_THROW(feedAdd(*served(), 0, addBody(cfg, 1, {})), std::runtime_error);
+  EXPECT_THROW(feedAdd(*served(), 0, addBody(cfg, std::uint64_t{1} << 40, {})),
+               std::runtime_error);
+  {
+    auto core = fresh();
+    Sink sink(cfg);
+    for (unsigned w = 0; w < 2; ++w) feedGet(*core, w, getUncached(0, {2}));
+    core->pump(sink.fn());
+    for (unsigned w = 0; w < 2; ++w) feedAdd(*core, w, addBody(cfg, 0, {}));
+    for (unsigned w = 0; w < 2; ++w) feedGet(*core, w, getUncached(1, {2}));
+    core->pump(sink.fn());
+    ASSERT_EQ(core->commitLevel(), 1u);
+    EXPECT_THROW(feedAdd(*core, 0, addBody(cfg, 0, {})), std::runtime_error);
+  }
 }
 
 }  // namespace
