@@ -3,32 +3,10 @@
 #include <chrono>
 #include <thread>
 
-#include "util/logging.h"
 #include "util/timer.h"
 
 namespace gw2v::util {
 namespace {
-
-TEST(Logging, ThresholdFiltering) {
-  const LogLevel original = logThreshold();
-  setLogThreshold(LogLevel::kError);
-  EXPECT_EQ(logThreshold(), LogLevel::kError);
-  // Below-threshold lines must not emit (no crash, no side effects beyond
-  // stderr, which we cannot easily capture portably — exercise the paths).
-  GW2V_LOG_DEBUG << "dropped " << 42;
-  GW2V_LOG_INFO << "dropped";
-  GW2V_LOG_WARN << "dropped";
-  setLogThreshold(LogLevel::kOff);
-  GW2V_LOG_ERROR << "also dropped";
-  setLogThreshold(original);
-}
-
-TEST(Logging, StreamsArbitraryTypes) {
-  const LogLevel original = logThreshold();
-  setLogThreshold(LogLevel::kOff);
-  GW2V_LOG_ERROR << "int " << 1 << " double " << 2.5 << " str " << std::string("x");
-  setLogThreshold(original);
-}
 
 TEST(WallTimer, MeasuresElapsed) {
   WallTimer t;
