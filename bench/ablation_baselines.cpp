@@ -22,6 +22,18 @@ int main() {
 
   std::printf("%-10s %-22s %12s %14s %16s\n", "hosts", "system", "sim time(s)", "volume(MB)",
               "hottest host(MB)");
+  bench::Rows rows("ablation_baselines");
+  const auto report = [&](const char* system, unsigned hosts, const sim::ClusterReport& c) {
+    std::uint64_t hottest = 0;
+    for (const auto& h : c.hosts)
+      hottest = std::max(hottest, h.comm.bytesSent + h.comm.bytesReceived);
+    std::printf("%-10u %-22s %12.3f %14.1f %16.1f\n", hosts, system, c.simulatedSeconds(),
+                static_cast<double>(c.totalBytes()) / 1e6, static_cast<double>(hottest) / 1e6);
+    const std::string cfg = bench::config({{"system", system}, {"hosts", hosts}});
+    rows.add(cfg, "modelled_s", "s", c.simulatedSeconds());
+    rows.add(cfg, "wire_bytes", "B", static_cast<double>(c.totalBytes()));
+    rows.add(cfg, "hottest_host_bytes", "B", static_cast<double>(hottest));
+  };
   for (const unsigned hosts : {2u, 4u, 8u, 16u}) {
     {
       core::TrainOptions o;
@@ -29,15 +41,8 @@ int main() {
       o.epochs = epochs;
       o.numHosts = hosts;
       o.trackLoss = false;
-      const auto r = core::GraphWord2Vec(data.vocab, o).train(data.corpus);
-      std::uint64_t hottest = 0;
-      for (const auto& h : r.cluster.hosts) {
-        hottest = std::max(hottest, h.comm.bytesSent + h.comm.bytesReceived);
-      }
-      std::printf("%-10u %-22s %12.3f %14.1f %16.1f\n", hosts, "GW2V (RepModel-Opt)",
-                  r.cluster.simulatedSeconds(),
-                  static_cast<double>(r.cluster.totalBytes()) / 1e6,
-                  static_cast<double>(hottest) / 1e6);
+      report("GW2V (RepModel-Opt)", hosts,
+             core::GraphWord2Vec(data.vocab, o).train(data.corpus).cluster);
     }
     {
       baselines::ParameterServerOptions o;
@@ -45,14 +50,8 @@ int main() {
       o.epochs = epochs;
       o.roundsPerEpoch = core::defaultSyncRounds(hosts);
       o.numHosts = hosts;
-      const auto r = baselines::trainParameterServer(data.vocab, data.corpus, o);
-      std::uint64_t hottest = 0;
-      for (const auto& h : r.cluster.hosts) {
-        hottest = std::max(hottest, h.comm.bytesSent + h.comm.bytesReceived);
-      }
-      std::printf("%-10u %-22s %12.3f %14.1f %16.1f\n", hosts, "ParameterServer",
-                  r.cluster.simulatedSeconds(), static_cast<double>(r.cluster.totalBytes()) / 1e6,
-                  static_cast<double>(hottest) / 1e6);
+      report("ParameterServer", hosts,
+             baselines::trainParameterServer(data.vocab, data.corpus, o).cluster);
     }
     std::fflush(stdout);
   }

@@ -37,7 +37,7 @@ int main() {
       {"int8-noef", comm::SyncCodec::kInt8, false},
   };
 
-  bench::JsonRows json("GW2V_CODEC_JSON");
+  bench::Rows rows("ablation_codec");
   double fp32MB = 0.0;
   std::printf("%-10s %10s %12s %12s\n", "arm", "accuracy", "volume", "vs fp32");
   for (const Arm& arm : arms) {
@@ -56,18 +56,14 @@ int main() {
     std::printf("%-10s %9.2f%% %10.1fMB %11.3fx\n", arm.name, acc, mb,
                 fp32MB > 0.0 ? mb / fp32MB : 1.0);
     std::fflush(stdout);
-    if (json.enabled()) {
-      char row[256];
-      std::snprintf(row, sizeof(row),
-                    "{\"arm\": \"%s\", \"codec\": \"%s\", \"error_feedback\": %s, "
-                    "\"hosts\": %u, \"accuracy_pct\": %.4f, \"volume_mb\": %.3f}",
-                    arm.name, comm::syncCodecName(arm.codec),
-                    arm.errorFeedback ? "true" : "false", hosts, acc, mb);
-      json.add(row);
-    }
+    const std::string cfg = bench::config({{"arm", arm.name},
+                                           {"codec", comm::syncCodecName(arm.codec)},
+                                           {"error_feedback", arm.errorFeedback ? "on" : "off"},
+                                           {"hosts", hosts}});
+    rows.add(cfg, "analogy_accuracy", "%", acc);
+    rows.add(cfg, "wire_bytes", "B", static_cast<double>(result.cluster.totalBytes()));
   }
   std::printf("\nexpected: fp16+ef/int8+ef within noise of fp32 at ~0.52x/~0.30x volume;\n"
               "int8 without error feedback measurably below the int8+ef arm.\n");
-  json.write();
   return 0;
 }

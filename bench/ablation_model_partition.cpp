@@ -27,6 +27,18 @@ int main() {
 
   std::printf("%-34s %-7s %12s %12s %14s\n", "system", "hosts", "sim time(s)",
               "volume(MB)", "messages");
+  bench::Rows rows("ablation_model_partition");
+  const auto report = [&](const char* label, const std::string& cfg, unsigned hosts,
+                          const sim::ClusterReport& c) {
+    std::uint64_t msgs = 0;
+    for (const auto& h : c.hosts) msgs += h.comm.messagesSent;
+    std::printf("%-34s %-7u %12.3f %12.1f %14llu\n", label, hosts, c.simulatedSeconds(),
+                static_cast<double>(c.totalBytes()) / 1e6,
+                static_cast<unsigned long long>(msgs));
+    rows.add(cfg, "modelled_s", "s", c.simulatedSeconds());
+    rows.add(cfg, "wire_bytes", "B", static_cast<double>(c.totalBytes()));
+    rows.add(cfg, "messages", "count", static_cast<double>(msgs));
+  };
   for (const unsigned hosts : {4u, 8u, 16u}) {
     {
       core::TrainOptions o;
@@ -34,13 +46,9 @@ int main() {
       o.epochs = epochs;
       o.numHosts = hosts;
       o.trackLoss = false;
-      const auto r = core::GraphWord2Vec(data.vocab, o).train(data.corpus);
-      std::uint64_t msgs = 0;
-      for (const auto& h : r.cluster.hosts) msgs += h.comm.messagesSent;
-      std::printf("%-34s %-7u %12.3f %12.1f %14llu\n", "GW2V (rows, sync/round)", hosts,
-                  r.cluster.simulatedSeconds(),
-                  static_cast<double>(r.cluster.totalBytes()) / 1e6,
-                  static_cast<unsigned long long>(msgs));
+      report("GW2V (rows, sync/round)",
+             bench::config({{"system", "GW2V"}, {"hosts", hosts}}), hosts,
+             core::GraphWord2Vec(data.vocab, o).train(data.corpus).cluster);
     }
     for (const std::uint32_t batch : {256u, 2048u}) {
       baselines::ColumnParallelOptions o;
@@ -49,15 +57,11 @@ int main() {
       o.numHosts = hosts;
       o.batchExamples = batch;
       o.trackLoss = false;
-      const auto r = baselines::trainColumnParallel(data.vocab, data.corpus, o);
-      std::uint64_t msgs = 0;
-      for (const auto& h : r.cluster.hosts) msgs += h.comm.messagesSent;
       char label[48];
       std::snprintf(label, sizeof(label), "ColumnParallel (dims, batch=%u)", batch);
-      std::printf("%-34s %-7u %12.3f %12.1f %14llu\n", label, hosts,
-                  r.cluster.simulatedSeconds(),
-                  static_cast<double>(r.cluster.totalBytes()) / 1e6,
-                  static_cast<unsigned long long>(msgs));
+      report(label,
+             bench::config({{"system", "ColumnParallel"}, {"hosts", hosts}, {"batch", batch}}),
+             hosts, baselines::trainColumnParallel(data.vocab, data.corpus, o).cluster);
     }
     std::fflush(stdout);
   }

@@ -22,6 +22,7 @@ int main() {
               data.info.spec.name.c_str(), data.vocab.size(), data.corpus.size(), epochs,
               hosts);
   std::printf("%-34s %12s %10s\n", "configuration", "sim time(s)", "accuracy");
+  bench::Rows rows("ablation_objectives");
 
   struct Config {
     core::Architecture arch;
@@ -48,6 +49,12 @@ int main() {
     std::snprintf(label, sizeof(label), "%s + %s (GW2V, MC)",
                   core::architectureName(cfg.arch), core::objectiveName(cfg.obj));
     std::printf("%-34s %12.3f %9.1f%%\n", label, result.cluster.simulatedSeconds(), acc);
+    const std::string rowCfg =
+        bench::config({{"architecture", core::architectureName(cfg.arch)},
+                       {"objective", core::objectiveName(cfg.obj)},
+                       {"hosts", hosts}});
+    rows.add(rowCfg, "modelled_s", "s", result.cluster.simulatedSeconds());
+    rows.add(rowCfg, "analogy_accuracy", "%", acc);
     std::fflush(stdout);
   }
 

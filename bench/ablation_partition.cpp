@@ -33,6 +33,7 @@ int main() {
     load[w] = posFreq + negShare * neg.probabilityOf(w);
   }
 
+  bench::Rows rows("ablation_partition");
   const auto report = [&](const graph::NodePartition& p, const char* name) {
     std::vector<double> perHost(hosts, 0.0);
     for (std::uint32_t w = 0; w < data.vocab.size(); ++w) perHost[p.masterOf(w)] += load[w];
@@ -45,6 +46,10 @@ int main() {
     std::printf("%-10s max/avg master load = %.2f  (host loads:", name, mx / avg);
     for (const double v : perHost) std::printf(" %.3f", v / sum);
     std::printf(")\n");
+    const std::string cfg = bench::config({{"partition", name}, {"hosts", hosts}});
+    rows.add(cfg, "max_over_avg_load", "ratio", mx / avg);
+    for (unsigned h = 0; h < hosts; ++h)
+      rows.add(cfg + ",host=" + std::to_string(h), "load_share", "ratio", perHost[h] / sum);
   };
 
   report(graph::BlockedPartition(data.vocab.size(), hosts), "blocked");

@@ -35,6 +35,7 @@ int main() {
 
   std::printf("%-8s %-12s %18s %22s\n", "hosts", "sync rounds", "replication factor",
               "touched/round/host");
+  bench::Rows rows("ablation_replication");
   for (const unsigned hosts : {2u, 4u, 8u, 16u, 32u}) {
     const unsigned rounds = core::defaultSyncRounds(hosts);
 
@@ -82,6 +83,9 @@ int main() {
 
     std::printf("%-8u %-12u %17.2fx %21.1f%%\n", hosts, rounds, replication,
                 touchedFraction * 100.0);
+    const std::string cfg = bench::config({{"hosts", hosts}, {"sync_rounds", rounds}});
+    rows.add(cfg, "replication_factor", "x", replication);
+    rows.add(cfg, "touched_fraction_per_round", "ratio", touchedFraction);
     std::fflush(stdout);
   }
 

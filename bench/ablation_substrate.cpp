@@ -14,9 +14,8 @@
 using namespace gw2v;
 
 int main() {
-  const graph::NodeId nodes =
-      static_cast<graph::NodeId>(bench::envUnsigned("GW2V_NODES", 60'000));
-  const unsigned degree = bench::envUnsigned("GW2V_DEGREE", 8);
+  constexpr graph::NodeId nodes = 60'000;
+  constexpr unsigned degree = 8;
 
   bench::printHeader("Ablation — distributed graph analytics on the substrate",
                      "Section 2.4 (framework generality)");
@@ -39,23 +38,31 @@ int main() {
 
   std::printf("%-10s %-8s %10s %10s %12s %10s\n", "algorithm", "hosts", "comp(s)",
               "comm(s)", "volume(MB)", "correct");
+  bench::Rows rows("ablation_substrate");
+  const auto report = [&](const char* algorithm, unsigned hosts, const sim::ClusterReport& c,
+                          bool ok) {
+    std::printf("%-10s %-8u %10.3f %10.4f %12.1f %10s\n", algorithm, hosts,
+                c.maxComputeSeconds(), c.maxModelledCommSeconds(),
+                static_cast<double>(c.totalBytes()) / 1e6, ok ? "yes" : "NO");
+    const std::string cfg = bench::config({{"algorithm", algorithm}, {"hosts", hosts}});
+    rows.add(cfg, "compute_cpu_s", "s", c.maxComputeSeconds());
+    rows.add(cfg, "modelled_comm_s", "s", c.maxModelledCommSeconds());
+    rows.add(cfg, "wire_bytes", "B", static_cast<double>(c.totalBytes()));
+    rows.add(cfg, "correct", "bool", ok ? 1.0 : 0.0);
+  };
   for (const unsigned hosts : {1u, 2u, 4u, 8u, 16u}) {
     {
       const auto r = graph::distributedSssp(g, 0, hosts);
       bool ok = true;
       for (graph::NodeId i = 0; i < nodes && ok; ++i) ok = r.values[i] == refSssp[i];
-      std::printf("%-10s %-8u %10.3f %10.4f %12.1f %10s\n", "sssp", hosts,
-                  r.cluster.maxComputeSeconds(), r.cluster.maxModelledCommSeconds(),
-                  static_cast<double>(r.cluster.totalBytes()) / 1e6, ok ? "yes" : "NO");
+      report("sssp", hosts, r.cluster, ok);
     }
     {
       const auto r = graph::distributedPagerank(g, hosts);
       bool ok = true;
       for (graph::NodeId i = 0; i < nodes && ok; ++i)
         ok = std::abs(r.ranks[i] - refPr[i]) < 1e-9;
-      std::printf("%-10s %-8u %10.3f %10.4f %12.1f %10s\n", "pagerank", hosts,
-                  r.cluster.maxComputeSeconds(), r.cluster.maxModelledCommSeconds(),
-                  static_cast<double>(r.cluster.totalBytes()) / 1e6, ok ? "yes" : "NO");
+      report("pagerank", hosts, r.cluster, ok);
     }
     std::fflush(stdout);
   }

@@ -3,18 +3,27 @@
 // Shared scaffolding for the table/figure reproduction harnesses.
 //
 // Every bench binary regenerates one table or figure of the paper on the
-// synthetic datasets (DESIGN.md documents the substitutions). Environment
-// knobs:
+// synthetic datasets (DESIGN.md documents the substitutions). Beside its
+// human-readable table it prints machine-readable results through Rows
+// (below). Environment knobs:
 //   GW2V_SCALE   — multiplies dataset token counts (default harness-specific)
 //   GW2V_EPOCHS  — overrides training epochs
+//   GW2V_HOSTS   — simulated hosts, where a harness runs one host count
 //   GW2V_THREADS — Hogwild worker threads per host (default 1)
 //   GW2V_BATCH   — shared-negative minibatch size B (default 1 = per-pair)
 //   GW2V_SYNC_CODEC — comma-separated wire codecs to sweep (fp32,fp16,int8;
 //                     default fp32 only)
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
+#include <sstream>
 #include <string>
+#include <string_view>
+#include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/trainer.h"
@@ -25,6 +34,7 @@
 #include "text/corpus.h"
 #include "text/tokenizer.h"
 #include "text/vocabulary.h"
+#include "util/simd.h"
 
 namespace gw2v::bench {
 
@@ -38,29 +48,30 @@ inline unsigned envUnsigned(const char* name, unsigned fallback) {
   return v != nullptr ? static_cast<unsigned>(std::atoi(v)) : fallback;
 }
 
+/// Comma-separated items of environment variable `name`, empty items
+/// skipped; an unset variable yields none.
+inline std::vector<std::string> envList(const char* name) {
+  std::vector<std::string> out;
+  const char* v = std::getenv(name);
+  if (v == nullptr) return out;
+  std::istringstream in(v);
+  for (std::string item; std::getline(in, item, ',');)
+    if (!item.empty()) out.push_back(item);
+  return out;
+}
+
 /// Wire codecs to sweep, from GW2V_SYNC_CODEC ("fp32,fp16,int8"); defaults
 /// to fp32 only so plain bench runs stay on the historical protocol.
 /// Unknown names are reported on stderr and skipped.
 inline std::vector<comm::SyncCodec> envCodecs() {
   std::vector<comm::SyncCodec> out;
-  const char* v = std::getenv("GW2V_SYNC_CODEC");
-  if (v == nullptr) return {comm::SyncCodec::kFp32};
-  std::string spec(v);
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    const std::size_t comma = spec.find(',', pos);
-    const std::string name =
-        spec.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    if (!name.empty()) {
-      comm::SyncCodec c;
-      if (comm::parseSyncCodec(name, c)) {
-        out.push_back(c);
-      } else {
-        std::fprintf(stderr, "GW2V_SYNC_CODEC: unknown codec '%s' skipped\n", name.c_str());
-      }
+  for (const std::string& name : envList("GW2V_SYNC_CODEC")) {
+    comm::SyncCodec c;
+    if (comm::parseSyncCodec(name, c)) {
+      out.push_back(c);
+    } else {
+      std::fprintf(stderr, "GW2V_SYNC_CODEC: unknown codec '%s' skipped\n", name.c_str());
     }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
   }
   if (out.empty()) out.push_back(comm::SyncCodec::kFp32);
   return out;
@@ -113,41 +124,101 @@ inline double accuracyOf(const eval::AnalogyTask& task, const graph::ModelGraph&
   return task.evaluate(view).total;
 }
 
-/// Machine-readable bench output: an array of flat JSON objects, written only
-/// when the given environment variable points at a destination file (see
-/// run_benches.sh, which routes each figure to bench_results/BENCH_*.json).
-/// Rows are preformatted by the caller; this just owns the envelope.
-class JsonRows {
+/// JSON string literal of `s`, with `"`, `\` and control bytes escaped.
+inline std::string jsonString(std::string_view s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char esc[8];
+      std::snprintf(esc, sizeof esc, "\\u%04x", static_cast<unsigned>(c));
+      out += esc;
+    } else {
+      out += c;
+    }
+  }
+  return out + '"';
+}
+
+/// The once-per-run line naming the machine and build every row came from;
+/// the keys are perfbench's stamp keys.
+inline std::string stampLine(std::string_view bench) {
+  return "stamp: {\"bench\": " + jsonString(bench) +
+         ", \"nproc\": " + std::to_string(std::thread::hardware_concurrency()) +
+         ", \"simd_tier\": " + jsonString(util::simd::tierName(util::simd::activeTier())) +
+         ", \"build_type\": " + jsonString(BENCH_BUILD_TYPE) +
+         ", \"compiler\": " + jsonString(BENCH_COMPILER) + "}";
+}
+
+/// One measured value. %.17g round-trips a double exactly; NaN and the
+/// infinities are not JSON numbers and print as null.
+inline std::string rowLine(std::string_view bench, std::string_view config,
+                           std::string_view metric, std::string_view unit, double value) {
+  char num[32] = "null";
+  if (std::isfinite(value)) std::snprintf(num, sizeof num, "%.17g", value);
+  return "row: {\"bench\": " + jsonString(bench) + ", \"config\": " + jsonString(config) +
+         ", \"metric\": " + jsonString(metric) + ", \"unit\": " + jsonString(unit) +
+         ", \"value\": " + num + "}";
+}
+
+/// One field of a row's config; integers print exactly, other numbers
+/// with %g ("0.1", "0.99").
+struct Field {
+  Field(const char* k, std::string v) : key(k), value(std::move(v)) {}
+  template <typename T>
+    requires std::is_arithmetic_v<T>
+  Field(const char* k, T v) : key(k) {
+    if constexpr (std::is_integral_v<T>) {
+      value = std::to_string(v);
+    } else {
+      char num[32];
+      std::snprintf(num, sizeof num, "%g", static_cast<double>(v));
+      value = num;
+    }
+  }
+  const char* key;
+  std::string value;
+};
+
+/// A row's config: the fields that identify its cell, as key=value pairs
+/// joined by commas, in a fixed order per harness.
+inline std::string config(std::initializer_list<Field> fields) {
+  std::string out;
+  for (const Field& f : fields) {
+    if (!out.empty()) out += ',';
+    out += f.key;
+    out += '=';
+    out += f.value;
+  }
+  return out;
+}
+
+/// The result format every harness shares. Rows collect as the harness
+/// measures and print on stdout after its tables, when the harness returns:
+///   stamp: {"bench", "nproc", "simd_tier", "build_type", "compiler"}  once
+///   row: {"bench", "config", "metric", "unit", "value"}               per value
+/// A metric's name says what kind of number it is: `modelled_*` for the
+/// simulated fabric's seconds, `*_cpu_s` for measured CPU time, `*_wall_*`
+/// for measured wall time.
+class Rows {
  public:
-  explicit JsonRows(const char* envVar) {
-    const char* p = std::getenv(envVar);
-    if (p != nullptr) path_ = p;
+  explicit Rows(std::string bench) : bench_(std::move(bench)) {}
+  Rows(const Rows&) = delete;
+  Rows& operator=(const Rows&) = delete;
+  ~Rows() {
+    std::printf("%s\n", stampLine(bench_).c_str());
+    for (const std::string& row : rows_) std::printf("%s\n", row.c_str());
   }
 
-  bool enabled() const { return !path_.empty(); }
-
-  void add(const std::string& obj) {
-    if (enabled()) rows_.push_back(obj);
-  }
-
-  void write() const {
-    if (!enabled()) return;
-    std::FILE* f = std::fopen(path_.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", path_.c_str());
-      return;
-    }
-    std::fprintf(f, "[\n");
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      std::fprintf(f, "  %s%s\n", rows_[i].c_str(), i + 1 < rows_.size() ? "," : "");
-    }
-    std::fprintf(f, "]\n");
-    std::fclose(f);
-    std::printf("wrote %s (%zu rows)\n", path_.c_str(), rows_.size());
+  void add(std::string_view config, std::string_view metric, std::string_view unit,
+           double value) {
+    rows_.push_back(rowLine(bench_, config, metric, unit, value));
   }
 
  private:
-  std::string path_;
+  std::string bench_;
   std::vector<std::string> rows_;
 };
 

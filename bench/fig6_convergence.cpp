@@ -33,10 +33,17 @@ std::vector<double> runDistributed(const bench::PreparedDataset& data, unsigned 
   return curve;
 }
 
-void printCurve(const char* label, const std::vector<double>& curve) {
+void report(bench::Rows& rows, const char* curveName, float lr,
+            const std::vector<double>& curve) {
+  char label[32];
+  std::snprintf(label, sizeof(label), "%s lr=%.3g", curveName, static_cast<double>(lr));
   std::printf("%-16s", label);
   for (const double a : curve) std::printf(" %5.1f", a);
   std::printf("\n");
+  for (std::size_t e = 0; e < curve.size(); ++e) {
+    rows.add(bench::config({{"curve", curveName}, {"lr", lr}, {"epoch", e + 1}}),
+             "analogy_accuracy", "%", curve[e]);
+  }
 }
 
 }  // namespace
@@ -54,6 +61,7 @@ int main() {
               data.info.spec.name.c_str(), data.vocab.size(), data.corpus.size(), hosts,
               epochs);
   const eval::AnalogyTask task = data.task();
+  bench::Rows rows("fig6_convergence");
 
   std::printf("%-16s", "curve \\ epoch");
   for (unsigned e = 1; e <= epochs; ++e) std::printf(" %5u", e);
@@ -71,23 +79,21 @@ int main() {
                             [&](const baselines::SmEpochStats&, const graph::ModelGraph& m) {
                               curve.push_back(bench::accuracyOf(task, m, data.vocab));
                             });
-    printCurve("SM lr=0.025", curve);
+    report(rows, "SM", 0.025f, curve);
   }
 
   // MC at the sequential learning rate.
-  printCurve("MC lr=0.025",
-             runDistributed(data, hosts, epochs, core::Reduction::kModelCombiner, 0.025f));
+  report(rows, "MC", 0.025f,
+         runDistributed(data, hosts, epochs, core::Reduction::kModelCombiner, 0.025f));
 
   // AVG at the paper's learning-rate sweep.
   for (const float lr : {0.025f, 0.05f, 0.1f, 0.2f, 0.4f, 0.8f}) {
-    char label[32];
-    std::snprintf(label, sizeof(label), "AVG lr=%.3g", static_cast<double>(lr));
-    printCurve(label, runDistributed(data, hosts, epochs, core::Reduction::kAverage, lr));
+    report(rows, "AVG", lr, runDistributed(data, hosts, epochs, core::Reduction::kAverage, lr));
   }
 
   // SUM at the baseline rate — the paper's "overly aggressive" reduction.
-  printCurve("SUM lr=0.025",
-             runDistributed(data, hosts, epochs, core::Reduction::kSum, 0.025f));
+  report(rows, "SUM", 0.025f,
+         runDistributed(data, hosts, epochs, core::Reduction::kSum, 0.025f));
 
   std::printf("\nexpected shape: MC tracks SM; AVG lr=0.025 lags; AVG lr=0.8 and SUM stay ~0.\n");
   return 0;

@@ -36,6 +36,13 @@ int main() {
   std::printf("%-20s %9s %9s %9s\n", "config", "semantic", "syntactic", "total");
   std::printf("%-20s %9.2f %9.2f %9.2f   (dotted reference line)\n", "SM (1 host)",
               smAcc.semantic, smAcc.syntactic, smAcc.total);
+  bench::Rows rows("fig7_sync_frequency");
+  const auto addAccuracy = [&](const std::string& cfg, const eval::AccuracyReport& acc) {
+    rows.add(cfg, "semantic_accuracy", "%", acc.semantic);
+    rows.add(cfg, "syntactic_accuracy", "%", acc.syntactic);
+    rows.add(cfg, "total_accuracy", "%", acc.total);
+  };
+  addAccuracy(bench::config({{"system", "SM"}, {"hosts", 1}}), smAcc);
 
   for (const auto reduction : {core::Reduction::kAverage, core::Reduction::kModelCombiner}) {
     for (const unsigned freq : {12u, 24u, 48u}) {
@@ -51,6 +58,10 @@ int main() {
       char label[32];
       std::snprintf(label, sizeof(label), "%s sync=%u", core::reductionName(reduction), freq);
       std::printf("%-20s %9.2f %9.2f %9.2f\n", label, acc.semantic, acc.syntactic, acc.total);
+      addAccuracy(bench::config({{"system", core::reductionName(reduction)},
+                                 {"hosts", hosts},
+                                 {"sync_rounds", freq}}),
+                  acc);
     }
   }
 

@@ -16,7 +16,7 @@ using namespace gw2v;
 int main() {
   const double scale = bench::envDouble("GW2V_SCALE", 0.15);
   const unsigned epochs = bench::envUnsigned("GW2V_EPOCHS", 2);
-  const unsigned maxHosts = bench::envUnsigned("GW2V_MAX_HOSTS", 64);
+  constexpr unsigned kMaxHosts = 64;
 
   bench::printHeader("Figure 8 — strong scaling, 3 comm variants x 3 datasets", "Fig. 8");
   std::printf("epochs=%u scale=%.2f; cells are simulated seconds (lower is better)\n\n",
@@ -26,14 +26,14 @@ int main() {
                                          comm::SyncStrategy::kRepModelOpt,
                                          comm::SyncStrategy::kPullModel};
   const std::vector<comm::SyncCodec> codecs = bench::envCodecs();
-  bench::JsonRows json("GW2V_FIG8_JSON");
+  bench::Rows rows("fig8_strong_scaling");
 
   for (const auto& info : synth::datasetCatalog(scale)) {
     const auto data = bench::prepare(info);
     std::printf("--- %s (vocab=%u tokens=%zu) ---\n", info.paperName.c_str(),
                 data.vocab.size(), data.corpus.size());
     std::printf("%-23s", "hosts(sync)");
-    for (unsigned h = 1; h <= maxHosts; h *= 2) {
+    for (unsigned h = 1; h <= kMaxHosts; h *= 2) {
       char head[16];
       std::snprintf(head, sizeof(head), "%u(%u)", h, core::defaultSyncRounds(h));
       std::printf(" %9s", head);
@@ -46,7 +46,7 @@ int main() {
         std::snprintf(rowHead, sizeof(rowHead), "%s/%s", comm::syncStrategyName(strategy),
                       comm::syncCodecName(codec));
         std::printf("%-23s", rowHead);
-        for (unsigned h = 1; h <= maxHosts; h *= 2) {
+        for (unsigned h = 1; h <= kMaxHosts; h *= 2) {
           core::TrainOptions o;
           o.sgns = bench::benchSgns();
           o.epochs = epochs;
@@ -57,19 +57,13 @@ int main() {
           const auto result = core::GraphWord2Vec(data.vocab, o).train(data.corpus);
           std::printf(" %9.3f", result.cluster.simulatedSeconds());
           std::fflush(stdout);
-          if (json.enabled()) {
-            char row[256];
-            std::snprintf(
-                row, sizeof(row),
-                "{\"dataset\": \"%s\", \"variant\": \"%s\", \"codec\": \"%s\", "
-                "\"hosts\": %u, \"sync_rounds\": %u, \"sim_seconds\": %.6f, "
-                "\"bytes\": %llu}",
-                info.paperName.c_str(), comm::syncStrategyName(strategy),
-                comm::syncCodecName(codec), h, core::defaultSyncRounds(h),
-                result.cluster.simulatedSeconds(),
-                static_cast<unsigned long long>(result.cluster.totalBytes()));
-            json.add(row);
-          }
+          const std::string cfg = bench::config({{"dataset", info.paperName},
+                                                 {"variant", comm::syncStrategyName(strategy)},
+                                                 {"codec", comm::syncCodecName(codec)},
+                                                 {"hosts", h},
+                                                 {"sync_rounds", core::defaultSyncRounds(h)}});
+          rows.add(cfg, "modelled_s", "s", result.cluster.simulatedSeconds());
+          rows.add(cfg, "wire_bytes", "B", static_cast<double>(result.cluster.totalBytes()));
         }
         std::printf("\n");
       }
@@ -78,6 +72,5 @@ int main() {
   }
   std::printf("expected shape: time falls with hosts for all variants (paper: 8.5x Naive,\n"
               "10.5x Opt, 8.8x Pull at 32 hosts on 1-billion); Opt <= Naive everywhere.\n");
-  json.write();
   return 0;
 }

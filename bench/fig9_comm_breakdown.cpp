@@ -27,7 +27,7 @@ int main() {
   const unsigned hostCounts[] = {2u, 8u, 32u};
   const std::vector<comm::SyncCodec> codecs = bench::envCodecs();
   bool volumeCheckFailed = false;
-  bench::JsonRows json("GW2V_FIG9_JSON");
+  bench::Rows rows("fig9_comm_breakdown");
 
   for (const auto& info : synth::datasetCatalog(scale)) {
     const auto data = bench::prepare(info);
@@ -68,19 +68,18 @@ int main() {
               comm, comp + comm, mb, phases.pack, phases.exchange, phases.fold,
               phases.apply);
           std::fflush(stdout);
-          if (json.enabled()) {
-            char row[384];
-            std::snprintf(
-                row, sizeof(row),
-                "{\"dataset\": \"%s\", \"variant\": \"%s\", \"codec\": \"%s\", "
-                "\"hosts\": %u, \"comp_seconds\": %.6f, \"comm_seconds\": %.6f, "
-                "\"volume_mb\": %.3f, \"sync_pack_s\": %.6f, \"sync_exchange_s\": %.6f, "
-                "\"sync_fold_s\": %.6f, \"sync_apply_s\": %.6f}",
-                info.paperName.c_str(), comm::syncStrategyName(strategy),
-                comm::syncCodecName(codecs[ci]), h, comp, comm, mb, phases.pack,
-                phases.exchange, phases.fold, phases.apply);
-            json.add(row);
-          }
+          const std::string rowCfg =
+              bench::config({{"dataset", info.paperName},
+                             {"variant", comm::syncStrategyName(strategy)},
+                             {"codec", comm::syncCodecName(codecs[ci])},
+                             {"hosts", h}});
+          rows.add(rowCfg, "compute_cpu_s", "s", comp);
+          rows.add(rowCfg, "modelled_comm_s", "s", comm);
+          rows.add(rowCfg, "wire_bytes", "B", static_cast<double>(result.cluster.totalBytes()));
+          rows.add(rowCfg, "sync_pack_wall_s", "s", phases.pack);
+          rows.add(rowCfg, "sync_exchange_wall_s", "s", phases.exchange);
+          rows.add(rowCfg, "sync_fold_wall_s", "s", phases.fold);
+          rows.add(rowCfg, "sync_apply_wall_s", "s", phases.apply);
         }
       }
       // The paper's headline claim (Fig 9): touched-only sync moves ~half the
@@ -130,7 +129,6 @@ int main() {
   }
   std::printf("expected shape: comp ~ 1/hosts; volume grows with hosts; Opt ~ 0.5x Naive\n"
               "volume (paper: 27.6TB vs 17.1TB at 32 hosts on 1-billion); Pull between.\n");
-  json.write();
   if (volumeCheckFailed) {
     std::printf("VOLUME CHECK FAILED: Opt did not undercut Naive by the expected margin.\n");
     return 1;

@@ -3,8 +3,7 @@
 // (materialized SpanCorpusSource, inline RandomWalkCorpus pull, and the
 // pipelined streamSource ring), then scored against held-out edges. Reports
 // walk-generation throughput, per-path wall time and peak resident corpus
-// bytes, and embedding quality as JSON (stdout, plus $GW2V_GRAPHEMB_JSON if
-// set).
+// bytes, and embedding quality as bench rows.
 //
 // Exit status is the CI gate:
 //   1. all three ingestion paths produce bit-identical embeddings
@@ -15,9 +14,11 @@
 //      materialized path's.
 //
 // Environment knobs:
-//   GW2V_SCALE   multiplies walks per node  (default 1)
+//   GW2V_SCALE   multiplies the 10 walks per node, keeping at least one
+//                (default 1)
 //   GW2V_EPOCHS  training epochs            (default 4)
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -59,7 +60,7 @@ struct PathRun {
 }  // namespace
 
 int main() {
-  const unsigned scale = bench::envUnsigned("GW2V_SCALE", 1);
+  const double scale = bench::envDouble("GW2V_SCALE", 1.0);
 
   graph::CommunityGraphSpec spec;
   spec.communities = 32;
@@ -69,7 +70,7 @@ int main() {
   spec.seed = 31;
 
   graph::WalkOptions wopts;
-  wopts.walksPerNode = 10 * scale;
+  wopts.walksPerNode = std::max(1u, static_cast<unsigned>(10 * scale));
   wopts.walkLength = 50;
   wopts.seed = 33;
   wopts.chunkTokens = 2048;
@@ -138,40 +139,24 @@ int main() {
   const double memRatio = static_cast<double>(runs[2].peakCorpusBytes) /
                           static_cast<double>(runs[0].peakCorpusBytes);
 
-  std::string json = "{\n  \"bench\": \"graph_embeddings\",\n";
-  char line[512];
-  std::snprintf(line, sizeof line,
-                "  \"nodes\": %u, \"vocab\": %u, \"train_edges\": %zu, \"held_edges\": %zu,\n"
-                "  \"tokens_per_epoch\": %llu, \"corpus_bytes\": %llu,\n"
-                "  \"walk_tokens_per_sec\": %.0f,\n",
-                cg.numNodes, nodes.vocab.size(), split.train.size(), split.held.size(),
-                static_cast<unsigned long long>(tokensPerEpoch),
-                static_cast<unsigned long long>(corpusBytes), walkTokensPerSec);
-  json += line;
-  json += "  \"paths\": [\n";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    std::snprintf(line, sizeof line,
-                  "    {\"path\": \"%s\", \"wall_seconds\": %.3f, \"peak_corpus_bytes\": %llu}%s\n",
-                  runs[i].path, runs[i].wallSeconds,
-                  static_cast<unsigned long long>(runs[i].peakCorpusBytes),
-                  i + 1 < runs.size() ? "," : "");
-    json += line;
+  bench::Rows rows("graph_embeddings");
+  rows.add("", "nodes", "count", cg.numNodes);
+  rows.add("", "vocab", "count", nodes.vocab.size());
+  rows.add("", "train_edges", "count", static_cast<double>(split.train.size()));
+  rows.add("", "held_edges", "count", static_cast<double>(split.held.size()));
+  rows.add("", "tokens_per_epoch", "count", static_cast<double>(tokensPerEpoch));
+  rows.add("", "corpus_bytes", "B", static_cast<double>(corpusBytes));
+  rows.add("", "walk_tokens_per_wall_s", "tokens/s", walkTokensPerSec);
+  for (const PathRun& run : runs) {
+    const std::string cfg = bench::config({{"path", run.path}});
+    rows.add(cfg, "train_wall_s", "s", run.wallSeconds);
+    rows.add(cfg, "peak_corpus_bytes", "B", static_cast<double>(run.peakCorpusBytes));
   }
-  std::snprintf(line, sizeof line,
-                "  ],\n  \"bit_identical\": %s,\n"
-                "  \"recall_at_10\": %.4f, \"random_recall\": %.4f, \"link_auc\": %.4f,\n"
-                "  \"stream_mem_ratio\": %.4f\n}\n",
-                identical ? "true" : "false", recall, randomRecall, auc, memRatio);
-  json += line;
-  std::fputs(json.c_str(), stdout);
-  if (const char* path = std::getenv("GW2V_GRAPHEMB_JSON")) {
-    if (std::FILE* f = std::fopen(path, "w")) {
-      std::fputs(json.c_str(), f);
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", path);
-    }
-  }
+  rows.add("", "bit_identical", "bool", identical ? 1.0 : 0.0);
+  rows.add("", "recall_at_10", "ratio", recall);
+  rows.add("", "random_recall_at_10", "ratio", randomRecall);
+  rows.add("", "link_auc", "ratio", auc);
+  rows.add("", "stream_mem_ratio", "ratio", memRatio);
 
   int failures = 0;
   if (!identical) {

@@ -32,12 +32,9 @@
 //   at the largest H, some SSP staleness reaches naive's final accuracy
 //   (1 point slack) while sending <= 0.5x naive's bytes.
 //
-// GW2V_PS_JSON=<path>   machine-readable rows (run_benches.sh -> BENCH_ps.json)
 // GW2V_PS_GATE=volume   nonzero exit when the accuracy-at-volume gate fails
-// GW2V_PS_SERVERS / GW2V_PS_ROUNDS / GW2V_PS_CODEC override the SSP side's
-// server count, rounds per epoch, and wire codec for tuning sweeps (defaults:
-// workers/4 servers, defaultSyncRounds, int8 — the measured sweet spot).
-// GW2V_PS_DEBUG_HOSTS=1 prints the per-rank compute/comm/traffic breakdown.
+// The SSP side runs workers/4 servers at defaultSyncRounds with the int8
+// codec — the measured sweet spot.
 
 #include "bench/common.h"
 
@@ -61,7 +58,7 @@ struct Row {
   std::uint64_t examples = 0;
 };
 
-void report(bench::JsonRows& json, const Row& r) {
+void report(bench::Rows& rows, const Row& r) {
   std::printf("  %-10s H=%-3u s=%u  accuracy %5.1f%%  modelled %8.3fs", r.variant.c_str(),
               r.workers, r.staleness, r.accuracy, r.modelledSeconds);
   if (r.causalSeconds > 0.0)
@@ -69,15 +66,13 @@ void report(bench::JsonRows& json, const Row& r) {
   else
     std::printf("  %16s", "");
   std::printf("  %8.2f MB\n", static_cast<double>(r.bytes) / 1e6);
-  char buf[320];
-  std::snprintf(buf, sizeof(buf),
-                "{\"bench\": \"ps_convergence\", \"variant\": \"%s\", \"workers\": %u, "
-                "\"staleness\": %u, \"accuracy\": %.2f, \"modelled_seconds\": %.4f, "
-                "\"causal_seconds\": %.4f, \"bytes\": %llu, \"examples\": %llu}",
-                r.variant.c_str(), r.workers, r.staleness, r.accuracy, r.modelledSeconds,
-                r.causalSeconds, static_cast<unsigned long long>(r.bytes),
-                static_cast<unsigned long long>(r.examples));
-  json.add(buf);
+  const std::string cfg = bench::config(
+      {{"variant", r.variant}, {"workers", r.workers}, {"staleness", r.staleness}});
+  rows.add(cfg, "analogy_accuracy", "%", r.accuracy);
+  rows.add(cfg, "modelled_s", "s", r.modelledSeconds);
+  if (r.causalSeconds > 0.0) rows.add(cfg, "modelled_causal_s", "s", r.causalSeconds);
+  rows.add(cfg, "wire_bytes", "B", static_cast<double>(r.bytes));
+  rows.add(cfg, "examples", "count", static_cast<double>(r.examples));
 }
 
 Row runBsp(const bench::PreparedDataset& data, comm::SyncStrategy strategy, const char* name,
@@ -106,24 +101,14 @@ Row runSsp(const bench::PreparedDataset& data, unsigned workers, unsigned stalen
   ps::PsTrainOptions opts;
   opts.sgns = bench::benchSgns();
   opts.epochs = epochs;
-  opts.roundsPerEpoch = bench::envUnsigned("GW2V_PS_ROUNDS", core::defaultSyncRounds(workers));
-  opts.numServers = bench::envUnsigned("GW2V_PS_SERVERS", std::max(1u, workers / 4));
+  opts.roundsPerEpoch = core::defaultSyncRounds(workers);
+  opts.numServers = std::max(1u, workers / 4);
   opts.numHosts = workers + opts.numServers;
   opts.staleness = staleness;
   opts.reduction = core::Reduction::kModelCombiner;
   opts.trackLoss = false;
   opts.codec = comm::SyncCodec::kInt8;
-  if (const char* c = std::getenv("GW2V_PS_CODEC")) comm::parseSyncCodec(c, opts.codec);
   const auto r = ps::trainAsyncPs(data.vocab, data.corpus, opts);
-  if (std::getenv("GW2V_PS_DEBUG_HOSTS") != nullptr) {
-    for (unsigned h = 0; h < r.cluster.hosts.size(); ++h) {
-      const auto& host = r.cluster.hosts[h];
-      std::printf("    host %2u (%s): compute %.3fs comm %.3fs sent %.1f MB recv %.1f MB\n", h,
-                  h < opts.numServers ? "server" : "worker", host.computeSeconds,
-                  host.modelledCommSeconds, static_cast<double>(host.comm.bytesSent) / 1e6,
-                  static_cast<double>(host.comm.bytesReceived) / 1e6);
-    }
-  }
   Row row;
   row.variant = "ssp";
   row.workers = workers;
@@ -138,29 +123,15 @@ Row runSsp(const bench::PreparedDataset& data, unsigned workers, unsigned stalen
   return row;
 }
 
-std::vector<unsigned> envHosts() {
-  std::vector<unsigned> out;
-  const char* v = std::getenv("GW2V_PS_HOSTS");
-  std::string spec(v != nullptr ? v : "8,32");
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    const std::size_t comma = spec.find(',', pos);
-    const std::string tok =
-        spec.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    if (!tok.empty()) out.push_back(static_cast<unsigned>(std::atoi(tok.c_str())));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (out.empty()) out.push_back(8);
-  return out;
-}
-
 }  // namespace
 
 int main() {
   const double scale = bench::envDouble("GW2V_SCALE", 0.2);
   const unsigned epochs = bench::envUnsigned("GW2V_EPOCHS", 6);
-  const auto hostCounts = envHosts();
+  std::vector<unsigned> hostCounts;
+  for (const std::string& h : bench::envList("GW2V_PS_HOSTS"))
+    hostCounts.push_back(static_cast<unsigned>(std::atoi(h.c_str())));
+  if (hostCounts.empty()) hostCounts = {8, 32};
   const char* gateEnv = std::getenv("GW2V_PS_GATE");
   const bool gateOn = gateEnv != nullptr && std::string(gateEnv) == "volume";
 
@@ -171,20 +142,20 @@ int main() {
   std::printf("dataset=%s vocab=%u tokens=%zu epochs=%u\n\n", data.info.spec.name.c_str(),
               data.vocab.size(), data.corpus.size(), epochs);
 
-  bench::JsonRows json("GW2V_PS_JSON");
+  bench::Rows rows("ps_convergence");
   bool gateOk = true;
   for (const unsigned workers : hostCounts) {
     std::printf("H = %u workers (%u sync rounds/epoch)\n", workers,
                 core::defaultSyncRounds(workers));
     const Row naive =
         runBsp(data, comm::SyncStrategy::kRepModelNaive, "naive", workers, epochs);
-    report(json, naive);
-    report(json, runBsp(data, comm::SyncStrategy::kRepModelOpt, "opt", workers, epochs));
-    report(json, runBsp(data, comm::SyncStrategy::kPullModel, "pull", workers, epochs));
+    report(rows, naive);
+    report(rows, runBsp(data, comm::SyncStrategy::kRepModelOpt, "opt", workers, epochs));
+    report(rows, runBsp(data, comm::SyncStrategy::kPullModel, "pull", workers, epochs));
     bool reached = false;
     for (const unsigned s : {0u, 2u, 8u}) {
       const Row ssp = runSsp(data, workers, s, epochs);
-      report(json, ssp);
+      report(rows, ssp);
       if (ssp.accuracy >= naive.accuracy - 1.0 &&
           static_cast<double>(ssp.bytes) <= 0.5 * static_cast<double>(naive.bytes))
         reached = true;
@@ -193,8 +164,6 @@ int main() {
                 reached ? "yes" : "NO");
     if (workers == hostCounts.back()) gateOk = reached;
   }
-  json.write();
-
   if (gateOn && !gateOk) {
     std::fprintf(stderr, "GATE FAILED: no SSP config matched naive accuracy at 0.5x bytes\n");
     return 1;

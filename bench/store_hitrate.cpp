@@ -1,7 +1,7 @@
 // Out-of-core tier characterization: sweeps the block cache over eviction
 // policy × cache budget × Zipf skew and reports hit rate plus the full
 // counter set (hits, misses, evictions, write-backs, pinned residency) as
-// JSON (stdout, plus $GW2V_STORE_JSON if set).
+// bench rows.
 //
 // Access pattern is the serving/training mix the tier is built for: row ids
 // drawn Zipf(s) over a frequency-sorted vocabulary (low id = hot, exactly
@@ -19,10 +19,8 @@
 //
 // Environment knobs:
 //   GW2V_STORE_VOCAB     rows in the table            (default 32768)
-//   GW2V_STORE_DIM       embedding dimensionality     (default 32)
 //   GW2V_STORE_ACCESSES  row faults per configuration (default 600000)
 //   GW2V_STORE_DIR       spill directory              (default /tmp/gw2v_store_bench)
-//   GW2V_STORE_JSON      also write the JSON report to this path
 
 #include <cstdint>
 #include <cstdio>
@@ -72,35 +70,11 @@ struct Row {
   double hitRate;
 };
 
-void emitJson(std::FILE* f, const std::vector<Row>& rows, std::uint32_t vocab,
-              std::uint32_t dim, std::uint64_t accesses) {
-  std::fprintf(f,
-               "{\n  \"bench\": \"store_hitrate\",\n"
-               "  \"vocab\": %u, \"dim\": %u, \"accesses\": %llu,\n  \"rows\": [\n",
-               vocab, dim, static_cast<unsigned long long>(accesses));
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f,
-                 "    {\"policy\": \"%s\", \"budget_fraction\": %.2f, \"skew\": %.2f, "
-                 "\"budget_blocks\": %zu, \"pinned_blocks\": %zu, \"hits\": %llu, "
-                 "\"misses\": %llu, \"evictions\": %llu, \"write_backs\": %llu, "
-                 "\"pinned_resident\": %llu, \"hit_rate\": %.6f}%s\n",
-                 r.policy, r.budgetFraction, r.skew, r.budgetBlocks, r.pinnedBlocks,
-                 static_cast<unsigned long long>(r.hits),
-                 static_cast<unsigned long long>(r.misses),
-                 static_cast<unsigned long long>(r.evictions),
-                 static_cast<unsigned long long>(r.writeBacks),
-                 static_cast<unsigned long long>(r.pinnedResident), r.hitRate,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-}
-
 }  // namespace
 
 int main() {
   const auto vocab = bench::envUnsigned("GW2V_STORE_VOCAB", 32768);
-  const auto dim = bench::envUnsigned("GW2V_STORE_DIM", 32);
+  constexpr std::uint32_t dim = 32;
   const std::uint64_t accesses = bench::envUnsigned("GW2V_STORE_ACCESSES", 600000);
   const char* dirEnv = std::getenv("GW2V_STORE_DIR");
   const std::string dir = dirEnv != nullptr ? dirEnv : "/tmp/gw2v_store_bench";
@@ -113,7 +87,7 @@ int main() {
   const double fractions[] = {0.10, 0.25, 0.50};
   const double skews[] = {0.6, 0.8, 1.0, 1.2};
 
-  std::vector<Row> rows;
+  bench::Rows rows("store_hitrate");
   bool gateFailed = false;
 
   for (const auto policy : policies) {
@@ -159,7 +133,6 @@ int main() {
                 m.writeBacks.load(),
                 m.pinnedResident.load(),
                 m.hitRate()};
-        rows.push_back(row);
         std::printf("%-12s f=%.2f s=%.1f  blocks=%4zu(pin %4zu)  hit=%.4f  ev=%llu wb=%llu\n",
                     row.policy, f, s, row.budgetBlocks, row.pinnedBlocks, row.hitRate,
                     static_cast<unsigned long long>(row.evictions),
@@ -172,6 +145,18 @@ int main() {
         }
         prevHitRate = row.hitRate;
 
+        const std::string cfg =
+            bench::config({{"vocab", vocab}, {"dim", dim}, {"accesses", accesses},
+                           {"policy", row.policy}, {"budget", f}, {"skew", s}});
+        rows.add(cfg, "budget_blocks", "count", static_cast<double>(row.budgetBlocks));
+        rows.add(cfg, "pinned_blocks", "count", static_cast<double>(row.pinnedBlocks));
+        rows.add(cfg, "hits", "count", static_cast<double>(row.hits));
+        rows.add(cfg, "misses", "count", static_cast<double>(row.misses));
+        rows.add(cfg, "evictions", "count", static_cast<double>(row.evictions));
+        rows.add(cfg, "write_backs", "count", static_cast<double>(row.writeBacks));
+        rows.add(cfg, "pinned_resident", "count", static_cast<double>(row.pinnedResident));
+        rows.add(cfg, "hit_rate", "ratio", row.hitRate);
+
         if (policy == store::EvictionPolicy::kZipfPinned && f == 0.25 && s == 1.0 &&
             row.hitRate < 0.9) {
           std::fprintf(stderr, "FAIL: zipf-pinned hit rate %.4f < 0.9 at skew 1.0, 25%% budget\n",
@@ -182,13 +167,6 @@ int main() {
     }
   }
 
-  emitJson(stdout, rows, vocab, dim, accesses);
-  if (const char* jsonPath = std::getenv("GW2V_STORE_JSON")) {
-    if (std::FILE* f = std::fopen(jsonPath, "w")) {
-      emitJson(f, rows, vocab, dim, accesses);
-      std::fclose(f);
-    }
-  }
   std::filesystem::remove(dir + "/hitrate.blocks");
   return gateFailed ? 1 : 0;
 }

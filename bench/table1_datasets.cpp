@@ -9,6 +9,7 @@ using namespace gw2v;
 int main() {
   const double scale = bench::envDouble("GW2V_SCALE", 1.0);
   bench::printHeader("Table 1 — datasets and their properties", "Table 1");
+  bench::Rows rows("table1_datasets");
 
   std::printf("%-12s | %-28s | %-40s\n", "", "paper dataset", "synthetic stand-in (this run)");
   std::printf("%-12s | %10s %10s %6s | %12s %14s %10s\n", "dataset", "vocab", "tokens",
@@ -26,6 +27,10 @@ int main() {
     std::printf("%-12s | %10s %10s %6s | %12u %14zu %8.1fMB\n", info.paperName.c_str(),
                 info.paperVocab.c_str(), info.paperTokens.c_str(), info.paperSize.c_str(),
                 vocab.size(), corpus.size(), static_cast<double>(body.size()) / 1e6);
+    const std::string cfg = bench::config({{"dataset", info.paperName}});
+    rows.add(cfg, "vocab_words", "count", vocab.size());
+    rows.add(cfg, "train_tokens", "count", static_cast<double>(corpus.size()));
+    rows.add(cfg, "text_bytes", "B", static_cast<double>(body.size()));
   }
   std::printf("\nstand-ins preserve the relative ordering (wiki >> news > 1-billion) at\n"
               "~1/1000 vocabulary and ~1/2000 token scale; see DESIGN.md.\n");

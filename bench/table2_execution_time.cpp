@@ -34,6 +34,7 @@ int main() {
                             {"25278.2", "1731.1", "14.6x"},
                             {"140216.8", "9993.7", "14x"}};
 
+  bench::Rows rows("table2_execution_time");
   int row = 0;
   for (const auto& info : synth::datasetCatalog(scale)) {
     const auto data = bench::prepare(info);
@@ -65,6 +66,12 @@ int main() {
                 info.paperName.c_str(), tW2v, tGem, tGw2v, tW2v / tGw2v, paper[row].w2v,
                 paper[row].gw2v, paper[row].speedup);
     ++row;
+    const auto cfg = [&](const char* system, unsigned h) {
+      return bench::config({{"dataset", info.paperName}, {"system", system}, {"hosts", h}});
+    };
+    rows.add(cfg("W2V", 1), "compute_cpu_s", "s", tW2v);
+    rows.add(cfg("GEM", 1), "compute_cpu_s", "s", tGem);
+    rows.add(cfg("GW2V", hosts), "modelled_s", "s", tGw2v);
   }
   std::printf("\n(GEM on wiki was OOM in the paper; the stand-in fits in memory here.)\n");
   return 0;

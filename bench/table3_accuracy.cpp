@@ -5,6 +5,8 @@
 
 #include "bench/common.h"
 
+#include <tuple>
+
 #include "baselines/shared_memory.h"
 
 using namespace gw2v;
@@ -34,6 +36,7 @@ int main() {
   std::printf("%-12s | %7s %7s %7s | %7s %7s %7s | %7s %7s %7s\n", "", "sem", "syn", "tot",
               "sem", "syn", "tot", "sem", "syn", "tot");
 
+  bench::Rows rows("table3_accuracy");
   for (const auto& info : synth::datasetCatalog(scale)) {
     const auto data = bench::prepare(info);
 
@@ -60,6 +63,14 @@ int main() {
     std::printf("%-12s | %7.2f %7.2f %7.2f | %7.2f %7.2f %7.2f | %7.2f %7.2f %7.2f\n",
                 info.paperName.c_str(), w2v.sem, w2v.syn, w2v.total, gem.sem, gem.syn,
                 gem.total, gw2v.sem, gw2v.syn, gw2v.total);
+    for (const auto& [system, h, acc] : {std::tuple{"W2V", 1u, w2v}, std::tuple{"GEM", 1u, gem},
+                                         std::tuple{"GW2V", hosts, gw2v}}) {
+      const std::string cfg =
+          bench::config({{"dataset", info.paperName}, {"system", system}, {"hosts", h}});
+      rows.add(cfg, "semantic_accuracy", "%", acc.sem);
+      rows.add(cfg, "syntactic_accuracy", "%", acc.syn);
+      rows.add(cfg, "total_accuracy", "%", acc.total);
+    }
   }
 
   std::printf("\npaper (Table 3, total): 1-billion 72.36/72.36/71.64, news 69.21/69.07/67.79,\n"

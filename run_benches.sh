@@ -1,84 +1,33 @@
 #!/bin/bash
-# Regenerates every table/figure of the paper (see EXPERIMENTS.md).
-# Google-benchmark binaries (micro_*) additionally drop machine-readable
-# results into bench_results/<name>.json for regression tracking.
-mkdir -p /root/repo/bench_results
-for b in /root/repo/build/bench/*; do
+# Regenerates every table/figure of the paper (see EXPERIMENTS.md) with the
+# harnesses in build/bench/. Each harness prints its tables, then one stamp:
+# line and its row: lines (bench/common.h); this collects all of them into
+# bench_results/rows.txt. The micro_* binaries write google-benchmark JSON to
+# bench_results/<name>.json instead. Exits nonzero if any binary failed.
+cd "$(dirname "$0")" || exit 1
+mkdir -p bench_results
+rows=bench_results/rows.txt
+: > "$rows"
+failed=""
+for b in build/bench/*; do
   [ -f "$b" ] && [ -x "$b" ] || continue   # skip CMake artifacts
-  echo "##### $b"
   name=$(basename "$b")
+  envs=() args=()
   case "$name" in
-    micro_model)
-      # Model-state layer round cost: O(dirty set) rebaselining at 1/10/100%
-      # dirty fractions (BM_SyncRebaseline).
-      "$b" --benchmark_out=/root/repo/bench_results/BENCH_model.json \
-           --benchmark_out_format=json
-      ;;
-    micro_sync)
-      # Sync critical path: one full pack/exchange/fold/apply round at
-      # 100k x 200 scale, 1 vs 4 worker threads, per wire codec
-      # (BM_SyncRound; sync() wall only via manual timing).
-      "$b" --benchmark_out=/root/repo/bench_results/BENCH_sync.json \
-           --benchmark_out_format=json
-      ;;
-    micro_*)
-      "$b" --benchmark_out="/root/repo/bench_results/${name}.json" \
-           --benchmark_out_format=json
-      ;;
-    fig8_strong_scaling)
-      # Codec sweep: one row set per wire codec (fp32 = historical numbers).
-      GW2V_SYNC_CODEC=fp32,fp16,int8 \
-      GW2V_FIG8_JSON=/root/repo/bench_results/BENCH_fig8.json "$b"
-      ;;
-    fig9_comm_breakdown)
-      # Codec sweep; the binary gates fp16 <= 0.55x and int8 <= 0.35x of the
-      # fp32 volume per variant at 8/32 hosts (nonzero exit on failure).
-      GW2V_SYNC_CODEC=fp32,fp16,int8 \
-      GW2V_FIG9_JSON=/root/repo/bench_results/BENCH_fig9.json "$b"
-      ;;
-    ablation_codec)
-      # Quality ablation: fp32 vs fp16+ef vs int8+ef vs int8 without error
-      # feedback, analogy accuracy next to wire volume.
-      GW2V_CODEC_JSON=/root/repo/bench_results/BENCH_codec.json "$b"
-      ;;
-    ps_convergence)
-      # Async PS vs BSP: accuracy next to modelled wallclock at 8/32 workers,
-      # SSP staleness 0/2/8. Gates "naive accuracy at <= 0.5x naive bytes" at
-      # the largest host count (nonzero exit on failure); time columns are
-      # reported, not gated — BSP stays faster, as in the paper's Table 4.
-      GW2V_PS_GATE=volume \
-      GW2V_PS_JSON=/root/repo/bench_results/BENCH_ps.json "$b"
-      ;;
-    serve_loadgen)
-      # Serving bench: QPS, p50/p99 latency, batch occupancy, bytes/query,
-      # plus the recall@10 == 1.0 determinism gate (nonzero exit on failure).
-      # GW2V_SERVE_ANN=1 adds the IVF nprobe sweep (recall@10 / scan cost /
-      # p50/p99 per point in the JSON "ann" block) and its recall >= 0.95 at
-      # >= 10x scoring-speedup gate.
-      GW2V_SERVE_ANN=1 \
-      GW2V_SERVE_JSON=/root/repo/bench_results/BENCH_serve.json "$b"
-      ;;
-    store_hitrate)
-      # Out-of-core block cache: hit-rate sweep over eviction policy x cache
-      # budget x Zipf skew with full counter rows (hits/misses/evictions/
-      # write-backs/pinned residency). Gates monotonicity in skew and the
-      # zipf-pinned >= 0.9 hit rate at skew 1.0 with a 25% budget (nonzero
-      # exit on failure). The spill dir is scratch; always cleaned up.
-      GW2V_STORE_DIR=/root/repo/bench_results/store_spill \
-      GW2V_STORE_JSON=/root/repo/bench_results/BENCH_store.json "$b"
-      rm -rf /root/repo/bench_results/store_spill
-      ;;
-    graph_embeddings)
-      # Random-walk node-embedding workload: walk throughput, per-ingestion-
-      # path wall time and peak resident corpus bytes, held-out recall@10 /
-      # link AUC. Gates bit-identity across paths, recall@10 >= 0.5 (random
-      # <= 0.05), AUC >= 0.9, and pipelined peak corpus <= 25% of
-      # materialized (nonzero exit on failure).
-      GW2V_GRAPHEMB_JSON=/root/repo/bench_results/BENCH_graphemb.json "$b"
-      ;;
-    *)
-      "$b"
-      ;;
+    micro_*) args=(--benchmark_out="bench_results/$name.json" --benchmark_out_format=json) ;;
+    # Codec sweep; fig9 gates the fp16 and int8 volume ratios against fp32.
+    fig8_strong_scaling|fig9_comm_breakdown) envs=(GW2V_SYNC_CODEC=fp32,fp16,int8) ;;
+    # Nonzero exit unless some SSP staleness matches naive accuracy at <= 0.5x bytes.
+    ps_convergence) envs=(GW2V_PS_GATE=volume) ;;
+    # Scratch spill directory, removed after the run.
+    store_hitrate) envs=(GW2V_STORE_DIR=bench_results/store_spill) ;;
   esac
+  echo "##### $name"
+  env "${envs[@]}" "$b" "${args[@]}" | tee bench_results/last.txt
+  [ "${PIPESTATUS[0]}" -eq 0 ] || failed="$failed $name"
+  grep -E '^(stamp|row): ' bench_results/last.txt >> "$rows"
   echo
 done
+rm -rf bench_results/last.txt bench_results/store_spill
+echo "collected $(grep -c '^row: ' "$rows") rows in $rows"
+[ -z "$failed" ] || { echo "failed:$failed"; exit 1; }
