@@ -62,8 +62,6 @@ class ZipfSampler {
 
 struct Row {
   const char* policy;
-  double budgetFraction;
-  double skew;
   std::size_t budgetBlocks;
   std::size_t pinnedBlocks;
   std::uint64_t hits, misses, evictions, writeBacks, pinnedResident;
@@ -123,8 +121,6 @@ int main() {
 
         const store::StoreMetrics& m = backend->metrics();
         Row row{store::evictionPolicyName(policy),
-                f,
-                s,
                 backend->cache().budgetBlocks(),
                 backend->cache().pinnedBudgetBlocks(),
                 m.hits.load(),
