@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <initializer_list>
+#include <map>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -38,26 +39,67 @@
 
 namespace gw2v::bench {
 
+/// One key=value field of a row's config; integers print exactly, other
+/// numbers with %g ("0.1", "0.99"). The stamp's knob values print the same.
+struct Field {
+  Field(const char* k, std::string v) : key(k), value(std::move(v)) {}
+  template <typename T>
+    requires std::is_arithmetic_v<T>
+  Field(const char* k, T v) : key(k) {
+    if constexpr (std::is_integral_v<T>) {
+      value = std::to_string(v);
+    } else {
+      char num[32];
+      std::snprintf(num, sizeof num, "%g", static_cast<double>(v));
+      value = num;
+    }
+  }
+  const char* key;
+  std::string value;
+};
+
+/// Every knob this run has read, by name, with the value it used (the
+/// harness's default when unset); the stamp records them. Knobs are read on
+/// the main thread.
+inline std::map<std::string, std::string>& knobsRead() {
+  static std::map<std::string, std::string> knobs;
+  return knobs;
+}
+
+template <typename T>
+T noteKnob(const char* name, T value) {
+  knobsRead()[name] = Field(name, value).value;
+  return value;
+}
+
 inline double envDouble(const char* name, double fallback) {
   const char* v = std::getenv(name);
-  return v != nullptr ? std::atof(v) : fallback;
+  return noteKnob(name, v != nullptr ? std::atof(v) : fallback);
 }
 
 inline unsigned envUnsigned(const char* name, unsigned fallback) {
   const char* v = std::getenv(name);
-  return v != nullptr ? static_cast<unsigned>(std::atoi(v)) : fallback;
+  return noteKnob(name, v != nullptr ? static_cast<unsigned>(std::atoi(v)) : fallback);
+}
+
+inline std::string envString(const char* name, const char* fallback) {
+  const char* v = std::getenv(name);
+  return noteKnob(name, std::string(v != nullptr ? v : fallback));
 }
 
 /// Comma-separated items of environment variable `name`, empty items
-/// skipped; an unset variable yields none.
-inline std::vector<std::string> envList(const char* name) {
-  std::vector<std::string> out;
-  const char* v = std::getenv(name);
-  if (v == nullptr) return out;
-  std::istringstream in(v);
-  for (std::string item; std::getline(in, item, ',');)
-    if (!item.empty()) out.push_back(item);
-  return out;
+/// skipped; `fallback`'s items when that leaves none.
+inline std::vector<std::string> envList(const char* name, const char* fallback) {
+  const auto split = [](const std::string& list) {
+    std::vector<std::string> out;
+    std::istringstream in(list);
+    for (std::string item; std::getline(in, item, ',');)
+      if (!item.empty()) out.push_back(item);
+    return out;
+  };
+  std::vector<std::string> items = split(envString(name, ""));
+  if (items.empty()) items = split(noteKnob(name, std::string(fallback)));
+  return items;
 }
 
 /// Wire codecs to sweep, from GW2V_SYNC_CODEC ("fp32,fp16,int8"); defaults
@@ -65,7 +107,7 @@ inline std::vector<std::string> envList(const char* name) {
 /// Unknown names are reported on stderr and skipped.
 inline std::vector<comm::SyncCodec> envCodecs() {
   std::vector<comm::SyncCodec> out;
-  for (const std::string& name : envList("GW2V_SYNC_CODEC")) {
+  for (const std::string& name : envList("GW2V_SYNC_CODEC", "fp32")) {
     comm::SyncCodec c;
     if (comm::parseSyncCodec(name, c)) {
       out.push_back(c);
@@ -142,14 +184,19 @@ inline std::string jsonString(std::string_view s) {
   return out + '"';
 }
 
-/// The once-per-run line naming the machine and build every row came from;
-/// the keys are perfbench's stamp keys.
+/// The once-per-run line naming the machine and build every row came from
+/// (perfbench's stamp keys) and the knobs the run read, as an object of
+/// strings in name order.
 inline std::string stampLine(std::string_view bench) {
+  std::string knobs;
+  for (const auto& [name, value] : knobsRead())
+    knobs += (knobs.empty() ? "" : ", ") + jsonString(name) + ": " + jsonString(value);
   return "stamp: {\"bench\": " + jsonString(bench) +
          ", \"nproc\": " + std::to_string(std::thread::hardware_concurrency()) +
          ", \"simd_tier\": " + jsonString(util::simd::tierName(util::simd::activeTier())) +
          ", \"build_type\": " + jsonString(BENCH_BUILD_TYPE) +
-         ", \"compiler\": " + jsonString(BENCH_COMPILER) + "}";
+         ", \"compiler\": " + jsonString(BENCH_COMPILER) +
+         ", \"knobs\": {" + knobs + "}}";
 }
 
 /// One measured value. %.17g round-trips a double exactly; NaN and the
@@ -162,25 +209,6 @@ inline std::string rowLine(std::string_view bench, std::string_view config,
          ", \"metric\": " + jsonString(metric) + ", \"unit\": " + jsonString(unit) +
          ", \"value\": " + num + "}";
 }
-
-/// One field of a row's config; integers print exactly, other numbers
-/// with %g ("0.1", "0.99").
-struct Field {
-  Field(const char* k, std::string v) : key(k), value(std::move(v)) {}
-  template <typename T>
-    requires std::is_arithmetic_v<T>
-  Field(const char* k, T v) : key(k) {
-    if constexpr (std::is_integral_v<T>) {
-      value = std::to_string(v);
-    } else {
-      char num[32];
-      std::snprintf(num, sizeof num, "%g", static_cast<double>(v));
-      value = num;
-    }
-  }
-  const char* key;
-  std::string value;
-};
 
 /// A row's config: the fields that identify its cell, as key=value pairs
 /// joined by commas, in a fixed order per harness.
@@ -197,8 +225,9 @@ inline std::string config(std::initializer_list<Field> fields) {
 
 /// The result format every harness shares. Rows collect as the harness
 /// measures and print on stdout after its tables, when the harness returns:
-///   stamp: {"bench", "nproc", "simd_tier", "build_type", "compiler"}  once
-///   row: {"bench", "config", "metric", "unit", "value"}               per value
+/// one stamp line, then one row line per value.
+///   stamp: {"bench", "nproc", "simd_tier", "build_type", "compiler", "knobs"}
+///   row: {"bench", "config", "metric", "unit", "value"}
 /// A metric's name says what kind of number it is: `modelled_*` for the
 /// simulated fabric's seconds, `*_cpu_s` for measured CPU time, `*_wall_*`
 /// for measured wall time.

@@ -129,11 +129,9 @@ int main() {
   const double scale = bench::envDouble("GW2V_SCALE", 0.2);
   const unsigned epochs = bench::envUnsigned("GW2V_EPOCHS", 6);
   std::vector<unsigned> hostCounts;
-  for (const std::string& h : bench::envList("GW2V_PS_HOSTS"))
+  for (const std::string& h : bench::envList("GW2V_PS_HOSTS", "8,32"))
     hostCounts.push_back(static_cast<unsigned>(std::atoi(h.c_str())));
-  if (hostCounts.empty()) hostCounts = {8, 32};
-  const char* gateEnv = std::getenv("GW2V_PS_GATE");
-  const bool gateOn = gateEnv != nullptr && std::string(gateEnv) == "volume";
+  const bool gateOn = bench::envString("GW2V_PS_GATE", "") == "volume";
 
   bench::printHeader("Async PS (SSP) vs BSP — accuracy vs modelled wallclock",
                      "Section 5h extension (parameter-server comparison)");

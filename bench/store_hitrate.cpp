@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -74,8 +73,7 @@ int main() {
   const auto vocab = bench::envUnsigned("GW2V_STORE_VOCAB", 32768);
   constexpr std::uint32_t dim = 32;
   const std::uint64_t accesses = bench::envUnsigned("GW2V_STORE_ACCESSES", 600000);
-  const char* dirEnv = std::getenv("GW2V_STORE_DIR");
-  const std::string dir = dirEnv != nullptr ? dirEnv : "/tmp/gw2v_store_bench";
+  const std::string dir = bench::envString("GW2V_STORE_DIR", "/tmp/gw2v_store_bench");
   std::filesystem::create_directories(dir);
 
   // Budget f is a fraction of the two-label model's bytes.

@@ -8,8 +8,8 @@
 #include <string>
 
 // The result printer every bench harness shares: the exact row line, JSON
-// escaping, null for non-finite values, full-precision values, and the
-// stamp's keys.
+// escaping, null for non-finite values, full-precision values, the stamp's
+// keys, and the knob values the stamp records.
 
 namespace gw2v::bench {
 namespace {
@@ -52,12 +52,30 @@ TEST(BenchRows, ValueRoundTripsAtFullPrecision) {
   }
 }
 
-TEST(BenchRows, StampHasAllFiveKeys) {
+TEST(BenchRows, StampHasItsKeys) {
   const std::string line = stampLine("table1_datasets");
   EXPECT_EQ(line.rfind("stamp: {\"bench\": \"table1_datasets\", ", 0), 0u) << line;
   for (const char* key : {"\"nproc\": ", "\"simd_tier\": \"", "\"build_type\": \"",
-                          "\"compiler\": \""})
+                          "\"compiler\": \"", "\"knobs\": {"})
     EXPECT_NE(line.find(key), std::string::npos) << key;
+}
+
+TEST(BenchRows, StampRecordsTheKnobValuesUsed) {
+  knobsRead().clear();
+  ::setenv("GW2V_EPOCHS", "3", 1);
+  ::setenv("GW2V_SYNC_CODEC", ",", 1);
+  ::unsetenv("GW2V_SCALE");
+  EXPECT_EQ(envUnsigned("GW2V_EPOCHS", 1), 3u);
+  EXPECT_EQ(envDouble("GW2V_SCALE", 0.25), 0.25);
+  EXPECT_EQ(envCodecs().size(), 1u);
+  const std::string line = stampLine("b");
+  EXPECT_NE(line.find("\"knobs\": {\"GW2V_EPOCHS\": \"3\", \"GW2V_SCALE\": \"0.25\", "
+                      "\"GW2V_SYNC_CODEC\": \"fp32\"}}"),
+            std::string::npos)
+      << line;
+  ::unsetenv("GW2V_EPOCHS");
+  ::unsetenv("GW2V_SYNC_CODEC");
+  knobsRead().clear();
 }
 
 }  // namespace
