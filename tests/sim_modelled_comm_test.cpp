@@ -5,9 +5,14 @@
 // drains them, so a seeded run charges the same seconds every time; any
 // change to what a charge window covers or how it is priced fails here.
 //
+// The same file locks each host's four traffic counts (bytes sent and
+// received, messages sent, collective rounds) under "traffic/<case>".
+// Modelled seconds price sent + received bytes and max(messages, rounds),
+// so they alone cannot show a count that moves within one of those pairs.
+//
 // Regenerate with GW2V_REGEN_GOLDEN=1 only when a change is *meant* to move
-// modelled seconds. Regeneration rewrites the entries of the cases that ran
-// and keeps the rest.
+// modelled seconds or traffic. Regeneration rewrites the entries of the
+// cases that ran and keeps the rest.
 
 #include <gtest/gtest.h>
 
@@ -66,6 +71,33 @@ std::vector<std::string> perHost(const sim::ClusterReport& report) {
   std::vector<std::string> out;
   for (const auto& h : report.hosts) out.push_back(hexFloat(h.modelledCommSeconds));
   return out;
+}
+
+/// One "sent,received,messages,rounds" token per host.
+std::vector<std::string> perHostTraffic(const sim::ClusterReport& report) {
+  std::vector<std::string> out;
+  for (const auto& h : report.hosts) {
+    out.push_back(std::to_string(h.comm.bytesSent) + ',' + std::to_string(h.comm.bytesReceived) +
+                  ',' + std::to_string(h.comm.messagesSent) + ',' +
+                  std::to_string(h.comm.collectiveRounds));
+  }
+  return out;
+}
+
+/// With GW2V_REGEN_GOLDEN set, rewrites `key`'s entry (keeping every other
+/// entry) and returns true.
+bool regenerate(const std::string& key, const std::vector<std::string>& got) {
+  if (std::getenv("GW2V_REGEN_GOLDEN") == nullptr) return false;
+  Entries entries = readGolden();
+  entries[key] = got;
+  std::ofstream out(kGoldenPath, std::ios::trunc);
+  for (const auto& [name, values] : entries) {
+    out << name;
+    for (const auto& v : values) out << ' ' << v;
+    out << '\n';
+  }
+  std::fprintf(stderr, "regenerated %s: %s\n", kGoldenPath, key.c_str());
+  return true;
 }
 
 text::Vocabulary makeVocab(std::uint32_t words) {
@@ -198,19 +230,7 @@ class ModelledCommGolden : public ::testing::TestWithParam<Case> {};
 TEST_P(ModelledCommGolden, PerHostSecondsLocked) {
   const Case& c = GetParam();
   const std::vector<std::string> got = perHost(c.run());
-
-  if (std::getenv("GW2V_REGEN_GOLDEN") != nullptr) {
-    Entries entries = readGolden();
-    entries[c.name] = got;
-    std::ofstream out(kGoldenPath, std::ios::trunc);
-    for (const auto& [name, values] : entries) {
-      out << name;
-      for (const auto& v : values) out << ' ' << v;
-      out << '\n';
-    }
-    std::fprintf(stderr, "regenerated %s: %s\n", kGoldenPath, c.name.c_str());
-    return;
-  }
+  if (regenerate(c.name, got)) return;
 
   const Entries entries = readGolden();
   const auto it = entries.find(c.name);
@@ -223,6 +243,23 @@ TEST_P(ModelledCommGolden, PerHostSecondsLocked) {
     EXPECT_GT(have, 0.0) << c.name << " host " << h << " charged no communication";
     EXPECT_EQ(got[h], it->second[h]) << c.name << " host " << h << ": modelled comm " << have
                                      << " s, golden " << want << " s";
+  }
+}
+
+TEST_P(ModelledCommGolden, PerHostTrafficLocked) {
+  const Case& c = GetParam();
+  const std::string key = "traffic/" + c.name;
+  const std::vector<std::string> got = perHostTraffic(c.run());
+  if (regenerate(key, got)) return;
+
+  const Entries entries = readGolden();
+  const auto it = entries.find(key);
+  ASSERT_NE(it, entries.end()) << "no golden entry for " << key << " in " << kGoldenPath
+                               << " (generate with GW2V_REGEN_GOLDEN=1)";
+  ASSERT_EQ(it->second.size(), got.size()) << key << ": host count";
+  for (std::size_t h = 0; h < got.size(); ++h) {
+    EXPECT_EQ(got[h], it->second[h])
+        << key << " host " << h << ": traffic (sent,received,messages,rounds)";
   }
 }
 
