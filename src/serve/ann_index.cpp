@@ -63,14 +63,13 @@ IvfIndex::IvfIndex(const float* rows, std::size_t rowStride, std::uint32_t numRo
   }
 
   assign_.assign(numRows_, 0);
-  const std::uint32_t iters = std::max(opts.kmeansIters, 1u);
-  for (std::uint32_t it = 0; it < iters; ++it) {
+  for (std::uint32_t it = 0; it < kKmeansIters; ++it) {
     const std::uint64_t changed = assignAll(*pool);
     if (changed == 0 && it > 0) break;  // converged: centroids stable too
     // The loop always *ends* on an assignment pass so the posting lists are
     // consistent with the final centroids; update only when another
     // assignment follows.
-    if (it + 1 < iters) updateCentroids(*pool);
+    if (it + 1 < kKmeansIters) updateCentroids(*pool);
   }
   rebuildLists();
   buildMicros_ = microsSince(t0);
@@ -199,8 +198,8 @@ std::uint64_t IvfIndex::memoryBytes() const noexcept {
 }
 
 std::vector<Candidate> IvfIndex::search(const TopKQuery& q, std::uint32_t nprobe,
-                                        std::uint32_t refine, std::uint32_t rowLo,
-                                        std::uint32_t rowHi, AnnSearchStats* stats) const {
+                                        std::uint32_t rowLo, std::uint32_t rowHi,
+                                        AnnSearchStats* stats) const {
   if (q.k == 0 || numRows_ == 0 || numLists_ == 0 || rowLo >= rowHi) return {};
   const auto t0 = Clock::now();
 
@@ -227,32 +226,8 @@ std::vector<Candidate> IvfIndex::search(const TopKQuery& q, std::uint32_t nprobe
                               q.vec, dim_)};
   }
 
-  std::uint32_t probes = std::min(std::max(nprobe, 1u), numLists_);
-  std::uint32_t sorted = std::min(probes, numLists_);
-  std::partial_sort(order.begin(), order.begin() + sorted, order.end(), better);
-  if (refine > 0) {
-    // Extend probing until the *global* candidate budget refine·k is met.
-    // Global list sizes are identical on every host, so shards extend by the
-    // same amount and the sharded candidate union stays host-count invariant.
-    const std::uint64_t budget = static_cast<std::uint64_t>(refine) * q.k;
-    for (;;) {
-      std::uint64_t seen = 0;
-      std::uint32_t p = 0;
-      while (p < sorted && (p < probes || seen < budget)) {
-        seen += listSize(order[p].id);
-        ++p;
-      }
-      if ((p < sorted || sorted == numLists_) && (seen >= budget || sorted == numLists_)) {
-        probes = p;
-        break;
-      }
-      // Budget not met inside the sorted prefix: widen it and re-sort. The
-      // prefix of a partial_sort under a strict total order is unique, so
-      // widening never reorders already-chosen probes.
-      sorted = sorted >= numLists_ / 2 ? numLists_ : sorted * 2;
-      std::partial_sort(order.begin(), order.begin() + sorted, order.end(), better);
-    }
-  }
+  const std::uint32_t probes = std::min(std::max(nprobe, 1u), numLists_);
+  std::partial_sort(order.begin(), order.begin() + probes, order.end(), better);
   const auto t1 = Clock::now();
 
   // Gather this shard's slice of each probed list (ids ascending per list)

@@ -4,10 +4,10 @@
 // publish time — the serving-side answer to "brute force is O(rows·dim) per
 // query regardless of k".
 //
-// The concrete implementation is cluster-pruned IVF: spherical k-means over
-// the snapshot's L2-normalized rows produces `numLists` unit centroids, and
-// every row is filed in the posting list of its nearest centroid (by dot
-// product — rows are unit vectors, so nearest-by-cosine). A query scores all
+// The index is cluster-pruned IVF: spherical k-means over the snapshot's
+// L2-normalized rows produces `numLists` unit centroids, and every row is
+// filed in the posting list of its nearest centroid (by dot product — rows
+// are unit vectors, so nearest-by-cosine). A query scores all
 // centroids, probes the `nprobe` best lists, and exactly scores only the
 // rows they contain — the same bit-exact dot/dot4 SIMD kernels and the same
 // (score desc, id asc) total order as the brute-force path, so an ANN answer
@@ -43,14 +43,6 @@ namespace gw2v::serve {
 struct AnnBuildOptions {
   /// Posting lists / k-means centroids; 0 = auto (ceil(sqrt(numRows))).
   std::uint32_t numLists = 0;
-  /// Lloyd iterations. The build always ends on an assignment pass, so the
-  /// posting lists are consistent with the final centroids; it stops early
-  /// once an assignment pass changes nothing.
-  std::uint32_t kmeansIters = 8;
-  /// Incremental builds reuse the previous index's centroids and reassign
-  /// only changed rows; above this changed-row fraction they retrain from
-  /// scratch instead (stale centroids eventually cost recall).
-  float retrainThreshold = 0.5f;
 };
 
 /// Per-search accounting, accumulated into ServeMetrics by the query engine.
@@ -61,39 +53,21 @@ struct AnnSearchStats {
   std::uint64_t scoreMicros = 0;     // candidate gather + scoring
 };
 
-class AnnIndex {
- public:
-  virtual ~AnnIndex() = default;
-
-  virtual const char* name() const noexcept = 0;
-  /// Version of the snapshot this index was built for — readers assert it
-  /// matches their pinned snapshot's version (it cannot legally differ: the
-  /// snapshot owns the index).
-  virtual std::uint64_t snapshotVersion() const noexcept = 0;
-  virtual std::uint32_t numRows() const noexcept = 0;
-  virtual std::uint32_t dim() const noexcept = 0;
-  virtual std::uint64_t memoryBytes() const noexcept = 0;
-  virtual std::uint64_t buildMicros() const noexcept = 0;
-
-  /// Approximate top-k of `q` over rows [rowLo, rowHi) (a shard's master
-  /// range; pass [0, numRows()) for the whole snapshot). `nprobe` lists are
-  /// scanned (clamped to the list count); when `refine` > 0, probing extends
-  /// past nprobe until the *global* candidate budget refine·k is reached —
-  /// computed from global list sizes, so every shard extends identically.
-  /// Deterministic given (index, query, knobs); candidates carry exact
-  /// brute-force-identical scores in the `better` total order.
-  virtual std::vector<Candidate> search(const TopKQuery& q, std::uint32_t nprobe,
-                                        std::uint32_t refine, std::uint32_t rowLo,
-                                        std::uint32_t rowHi,
-                                        AnnSearchStats* stats = nullptr) const = 0;
-};
-
 /// Cluster-pruned inverted-file index (see file comment). Build cost:
-/// kmeansIters · numRows · numLists dots (the assignment passes, parallel
+/// kKmeansIters · numRows · numLists dots (the assignment passes, parallel
 /// over rows on the thread pool) + O(numRows) per-iteration counting sorts;
 /// memory: numLists padded centroid rows + 2 u32 per row.
-class IvfIndex final : public AnnIndex {
+class IvfIndex {
  public:
+  /// Lloyd iterations of a full build. The build always ends on an
+  /// assignment pass, so the posting lists are consistent with the final
+  /// centroids; it stops early once an assignment pass changes nothing.
+  static constexpr std::uint32_t kKmeansIters = 8;
+  /// Incremental builds reuse the previous index's centroids and reassign
+  /// only changed rows; above this changed-row fraction they retrain from
+  /// scratch instead (stale centroids eventually cost recall).
+  static constexpr double kRetrainFraction = 0.5;
+
   /// Full build: spherical k-means over all rows. `rows` must outlive the
   /// index (the owning snapshot guarantees this); `pool` may be null for a
   /// serial build. Deterministic for fixed inputs regardless of pool size:
@@ -111,24 +85,27 @@ class IvfIndex final : public AnnIndex {
            std::uint32_t numRows, std::uint32_t dim, std::uint64_t snapshotVersion,
            std::span<const std::uint32_t> changedRows, runtime::ThreadPool* pool);
 
-  const char* name() const noexcept override { return "ivf"; }
-  std::uint64_t snapshotVersion() const noexcept override { return version_; }
-  std::uint32_t numRows() const noexcept override { return numRows_; }
-  std::uint32_t dim() const noexcept override { return dim_; }
-  std::uint64_t memoryBytes() const noexcept override;
-  std::uint64_t buildMicros() const noexcept override { return buildMicros_; }
+  /// Version of the snapshot this index was built for — readers assert it
+  /// matches their pinned snapshot's version (it cannot legally differ: the
+  /// snapshot owns the index).
+  std::uint64_t snapshotVersion() const noexcept { return version_; }
+  std::uint32_t numRows() const noexcept { return numRows_; }
+  std::uint32_t dim() const noexcept { return dim_; }
+  std::uint64_t memoryBytes() const noexcept;
+  std::uint64_t buildMicros() const noexcept { return buildMicros_; }
 
-  std::vector<Candidate> search(const TopKQuery& q, std::uint32_t nprobe, std::uint32_t refine,
-                                std::uint32_t rowLo, std::uint32_t rowHi,
-                                AnnSearchStats* stats = nullptr) const override;
+  /// Approximate top-k of `q` over rows [rowLo, rowHi) (a shard's master
+  /// range; pass [0, numRows()) for the whole snapshot). The `nprobe` best
+  /// lists are scanned (clamped to [1, list count]). Deterministic given
+  /// (index, query, nprobe); candidates carry exact brute-force-identical
+  /// scores in the `better` total order.
+  std::vector<Candidate> search(const TopKQuery& q, std::uint32_t nprobe, std::uint32_t rowLo,
+                                std::uint32_t rowHi, AnnSearchStats* stats = nullptr) const;
 
   std::uint32_t numLists() const noexcept { return numLists_; }
   /// True when this index reused a predecessor's centroids (incremental).
   bool reusedCentroids() const noexcept { return reusedCentroids_; }
   std::uint32_t assignmentOf(std::uint32_t row) const noexcept { return assign_[row]; }
-  std::uint32_t listSize(std::uint32_t list) const noexcept {
-    return listOffsets_[list + 1] - listOffsets_[list];
-  }
   std::span<const float> centroid(std::uint32_t list) const noexcept {
     return {centroids_.data() + static_cast<std::size_t>(list) * stride_, dim_};
   }

@@ -93,10 +93,7 @@ QueryResult QueryEngine::submit(Request req) {
   req.exclude.erase(std::unique(req.exclude.begin(), req.exclude.end()), req.exclude.end());
   // Canonicalize so identical exact requests share one cache entry no matter
   // what ANN knobs the caller left set.
-  if (req.qopts.mode == QueryMode::kExact) {
-    req.qopts.nprobe = 0;
-    req.qopts.refine = 0;
-  }
+  if (req.qopts.mode == QueryMode::kExact) req.qopts.nprobe = 0;
 
   if (opts_.cacheCapacity > 0) {
     req.cacheable = true;
@@ -218,7 +215,6 @@ void QueryEngine::runCoordinator() {
       w.put<std::uint32_t>(r.k);
       w.put<std::uint32_t>(static_cast<std::uint32_t>(r.qopts.mode));
       w.put<std::uint32_t>(r.qopts.nprobe);
-      w.put<std::uint32_t>(r.qopts.refine);
       w.put<std::uint32_t>(static_cast<std::uint32_t>(r.exclude.size()));
       w.putSpan<text::WordId>(r.exclude);
     }
@@ -287,7 +283,7 @@ std::vector<std::vector<Candidate>> QueryEngine::scoreLocal(
   // Split the round: exact requests (plus kAnn fallbacks against an
   // index-less snapshot) keep the batched four-queries-per-row scan; ANN
   // requests probe the index one query at a time (each carries its own
-  // nprobe/refine).
+  // nprobe).
   std::vector<std::size_t> exactIdx;
   exactIdx.reserve(queries.size());
   for (std::size_t q = 0; q < queries.size(); ++q) {
@@ -298,7 +294,7 @@ std::vector<std::vector<Candidate>> QueryEngine::scoreLocal(
         continue;
       }
       AnnSearchStats stats;
-      out[q] = index.annTopk(queries[q], qopts[q].nprobe, qopts[q].refine, &stats);
+      out[q] = index.annTopk(queries[q], qopts[q].nprobe, &stats);
       metrics_.annQueries.fetch_add(1, std::memory_order_relaxed);
       metrics_.annProbeCount.fetch_add(stats.probes, std::memory_order_relaxed);
       metrics_.annCandidates.fetch_add(stats.candidates, std::memory_order_relaxed);
@@ -352,7 +348,6 @@ void QueryEngine::runWorker() {
       QueryOptions qo;
       qo.mode = static_cast<QueryMode>(rd.get<std::uint32_t>());
       qo.nprobe = rd.get<std::uint32_t>();
-      qo.refine = rd.get<std::uint32_t>();
       const std::uint32_t exLen = rd.get<std::uint32_t>();
       tq.sortedExclude = rd.view<text::WordId>(exLen);
       queries.push_back(tq);
@@ -379,7 +374,6 @@ QueryEngine::CacheKey QueryEngine::keyOf(std::span<const float> vec, text::WordI
   mix(k);
   mix(static_cast<std::uint64_t>(qopts.mode));
   mix(qopts.nprobe);
-  mix(qopts.refine);
   mix(version);
   mix(vec.size());
   for (const float f : vec) mix(std::bit_cast<std::uint32_t>(f));

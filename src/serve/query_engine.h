@@ -67,15 +67,12 @@ struct ServeOptions {
 enum class QueryMode : std::uint8_t { kExact = 0, kAnn = 1 };
 
 /// Per-request knobs; meaningful only in kAnn mode (exact requests are
-/// canonicalized to nprobe = refine = 0, so the cache treats all exact
-/// requests for the same query alike).
+/// canonicalized to nprobe = 0, so the cache treats all exact requests for
+/// the same query alike).
 struct QueryOptions {
   QueryMode mode = QueryMode::kExact;
   /// Posting lists probed per query (clamped to the index's list count).
   std::uint32_t nprobe = 8;
-  /// When > 0: keep probing past nprobe until refine·k global candidates are
-  /// covered — a recall floor for queries landing in small clusters.
-  std::uint32_t refine = 0;
 };
 
 struct QueryResult {

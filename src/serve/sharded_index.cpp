@@ -23,10 +23,9 @@ std::vector<std::vector<Candidate>> ShardedIndex::topk(
 }
 
 std::vector<Candidate> ShardedIndex::annTopk(const TopKQuery& q, std::uint32_t nprobe,
-                                             std::uint32_t refine,
                                              AnnSearchStats* stats) const {
   if (!hasAnn()) throw std::logic_error("ShardedIndex::annTopk: snapshot has no ANN index");
-  return snap_->annIndex()->search(q, nprobe, refine, lo_, hi_, stats);
+  return snap_->annIndex()->search(q, nprobe, lo_, hi_, stats);
 }
 
 }  // namespace gw2v::serve

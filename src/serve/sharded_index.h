@@ -38,7 +38,7 @@ class ShardedIndex {
   /// bit-identical to topk()'s for the same rows, so a mergeTopK over shards
   /// equals a single-host ANN search with the same knobs.
   std::vector<Candidate> annTopk(const TopKQuery& q, std::uint32_t nprobe,
-                                 std::uint32_t refine, AnnSearchStats* stats = nullptr) const;
+                                 AnnSearchStats* stats = nullptr) const;
 
  private:
   const EmbeddingSnapshot* snap_ = nullptr;

@@ -71,7 +71,7 @@ EmbeddingSnapshot::EmbeddingSnapshot(const graph::ModelGraph& model,
                             std::min(ann->numLists, numWords_) == prevIdx->numLists());
     const bool belowThreshold =
         static_cast<double>(changed.size()) <=
-        static_cast<double>(ann->retrainThreshold) * static_cast<double>(numWords_);
+        IvfIndex::kRetrainFraction * static_cast<double>(numWords_);
     if (sameShape && belowThreshold) {
       ann_ = std::make_unique<const IvfIndex>(*prevIdx, data_.data(), stride_, numWords_,
                                               dim_, version_, changed, pool);

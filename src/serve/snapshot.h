@@ -72,7 +72,7 @@ class EmbeddingSnapshot {
   /// bit-identical either way). The incremental variant reuses the previous
   /// snapshot's centroids and reassigns only rows changed since (per the
   /// EmbeddingTable row versions), retraining from scratch past
-  /// AnnBuildOptions::retrainThreshold or when prev carries no index.
+  /// IvfIndex::kRetrainFraction or when prev carries no index.
   static std::shared_ptr<const EmbeddingSnapshot> fromModel(const graph::ModelGraph& model,
                                                             const text::Vocabulary* vocab,
                                                             std::uint64_t version,
@@ -117,7 +117,7 @@ class EmbeddingSnapshot {
 
   /// The ANN index built for this snapshot version, or nullptr when the
   /// snapshot was published without one (exact-only serving).
-  const AnnIndex* annIndex() const noexcept { return ann_.get(); }
+  const IvfIndex* annIndex() const noexcept { return ann_.get(); }
 
   /// Resident bytes of the row matrix (the serving-capacity quantity).
   std::uint64_t matrixBytes() const noexcept {

@@ -109,8 +109,7 @@ TEST(IvfIndex, FullProbeEqualsBruteForceBitwise) {
     const TopKQuery q{qv.data(), 10, excl};
     // Probing every list scores every row: the answer must be the oracle's,
     // bit for bit — scores included (the dot4/dot contract).
-    const auto got =
-        idx->search(q, dynamic_cast<const IvfIndex*>(idx)->numLists(), 0, 0, kRows);
+    const auto got = idx->search(q, idx->numLists(), 0, kRows);
     expectSameCandidates(bruteForce(*snap, q), got, "query " + std::to_string(t));
   }
 }
@@ -119,7 +118,7 @@ TEST(IvfIndex, RecallClearsFloorAtModestNprobe) {
   const auto model = makeClusteredModel(21);
   AnnBuildOptions opts;
   const auto snap = EmbeddingSnapshot::fromModel(model, nullptr, 1, opts);
-  const auto* idx = dynamic_cast<const IvfIndex*>(snap->annIndex());
+  const auto* idx = snap->annIndex();
   ASSERT_NE(idx, nullptr);
 
   util::Rng rng(5);
@@ -130,7 +129,7 @@ TEST(IvfIndex, RecallClearsFloorAtModestNprobe) {
     const auto qv = makeQuery(rng, *snap);
     const TopKQuery q{qv.data(), 10, {}};
     AnnSearchStats stats;
-    const auto got = idx->search(q, 6, 0, 0, kRows, &stats);
+    const auto got = idx->search(q, 6, 0, kRows, &stats);
     recallSum += recallAgainst(bruteForce(*snap, q), got);
     candSum += stats.candidates;
     EXPECT_EQ(stats.probes, 6u);
@@ -162,7 +161,7 @@ TEST(IvfIndex, BuildIsThreadCountInvariant) {
   util::Rng rng(3);
   const auto qv = makeQuery(rng, *snap);
   const TopKQuery q{qv.data(), 10, {}};
-  expectSameCandidates(serial.search(q, 4, 0, 0, kRows), parallel.search(q, 4, 0, 0, kRows),
+  expectSameCandidates(serial.search(q, 4, 0, kRows), parallel.search(q, 4, 0, kRows),
                        "pool-size search");
 }
 
@@ -176,13 +175,13 @@ TEST(IvfIndex, ShardedSearchIsHostCountInvariant) {
     const auto qv = makeQuery(rng, *snap);
     const TopKQuery q{qv.data(), 10, {}};
     const ShardedIndex whole(*snap, 0, 1);
-    const auto oneHost = whole.annTopk(q, 3, 2);
+    const auto oneHost = whole.annTopk(q, 3);
 
     for (const unsigned numHosts : {2u, 3u, 4u}) {
       std::vector<std::vector<Candidate>> parts(numHosts);
       for (unsigned h = 0; h < numHosts; ++h) {
         const ShardedIndex shard(*snap, h, numHosts);
-        parts[h] = shard.annTopk(q, 3, 2);
+        parts[h] = shard.annTopk(q, 3);
       }
       expectSameCandidates(oneHost, mergeTopK(parts, q.k),
                            "H=" + std::to_string(numHosts) + " t=" + std::to_string(t));
@@ -195,7 +194,7 @@ TEST(IvfIndex, IncrementalRebuildReusesCentroidsAndMatchesFullReassignment) {
   model.clearTouched();  // as a sync round would; v1's "changed since" baseline
   AnnBuildOptions opts;
   const auto v1 = EmbeddingSnapshot::fromModel(model, nullptr, 1, opts);
-  const auto* idx1 = dynamic_cast<const IvfIndex*>(v1->annIndex());
+  const auto* idx1 = v1->annIndex();
   ASSERT_NE(idx1, nullptr);
   EXPECT_FALSE(idx1->reusedCentroids());
   model.clearTouched();
@@ -208,7 +207,7 @@ TEST(IvfIndex, IncrementalRebuildReusesCentroidsAndMatchesFullReassignment) {
   model.clearTouched();
 
   const auto v2 = EmbeddingSnapshot::fromModel(model, nullptr, 2, *v1, opts);
-  const auto* idx2 = dynamic_cast<const IvfIndex*>(v2->annIndex());
+  const auto* idx2 = v2->annIndex();
   ASSERT_NE(idx2, nullptr);
   EXPECT_TRUE(idx2->reusedCentroids());
   EXPECT_EQ(idx2->snapshotVersion(), 2u);
@@ -231,7 +230,7 @@ TEST(IvfIndex, IncrementalRebuildReusesCentroidsAndMatchesFullReassignment) {
   util::Rng rng(4);
   const auto qv = makeQuery(rng, *v2);
   const TopKQuery q{qv.data(), 10, {}};
-  expectSameCandidates(bruteForce(*v2, q), idx2->search(q, idx2->numLists(), 0, 0, kRows),
+  expectSameCandidates(bruteForce(*v2, q), idx2->search(q, idx2->numLists(), 0, kRows),
                        "incremental full-probe");
 }
 
@@ -239,42 +238,18 @@ TEST(IvfIndex, RetrainThresholdForcesFullKmeans) {
   auto model = makeClusteredModel(75);
   model.clearTouched();
   AnnBuildOptions opts;
-  opts.retrainThreshold = 0.25f;
   const auto v1 = EmbeddingSnapshot::fromModel(model, nullptr, 1, opts);
   model.clearTouched();
 
-  // Touch well over a quarter of the rows.
-  for (std::uint32_t w = 0; w < kRows; w += 2)
-    model.mutableRow(graph::Label::kEmbedding, w)[0] += 1.0f;
+  // Touch three rows in four, past IvfIndex::kRetrainFraction.
+  for (std::uint32_t w = 0; w < kRows; ++w)
+    if (w % 4 != 0) model.mutableRow(graph::Label::kEmbedding, w)[0] += 1.0f;
   model.clearTouched();
 
   const auto v2 = EmbeddingSnapshot::fromModel(model, nullptr, 2, *v1, opts);
-  const auto* idx2 = dynamic_cast<const IvfIndex*>(v2->annIndex());
+  const auto* idx2 = v2->annIndex();
   ASSERT_NE(idx2, nullptr);
   EXPECT_FALSE(idx2->reusedCentroids());
-}
-
-TEST(IvfIndex, RefineExtendsProbingToCoverBudget) {
-  const auto model = makeClusteredModel(87);
-  AnnBuildOptions opts;
-  const auto snap = EmbeddingSnapshot::fromModel(model, nullptr, 1, opts);
-  const auto* idx = dynamic_cast<const IvfIndex*>(snap->annIndex());
-  ASSERT_NE(idx, nullptr);
-
-  util::Rng rng(17);
-  const auto qv = makeQuery(rng, *snap);
-  const TopKQuery q{qv.data(), 10, {}};
-
-  AnnSearchStats lean, refined;
-  (void)idx->search(q, 1, 0, 0, kRows, &lean);
-  (void)idx->search(q, 1, 20, 0, kRows, &refined);
-  // 20·k = 200 candidates out of 400 rows forces extra probes past nprobe=1.
-  EXPECT_GT(refined.probes, lean.probes);
-  EXPECT_GE(refined.candidates, 200u);
-
-  // A budget covering every row makes refine equivalent to a full probe.
-  const auto all = idx->search(q, 1, kRows, 0, kRows);
-  expectSameCandidates(bruteForce(*snap, q), all, "refine-covers-all");
 }
 
 TEST(IvfIndex, EdgeCases) {
@@ -282,7 +257,7 @@ TEST(IvfIndex, EdgeCases) {
   AnnBuildOptions one;
   one.numLists = 1;
   const auto snap = EmbeddingSnapshot::fromModel(model, nullptr, 1, one);
-  const auto* idx = dynamic_cast<const IvfIndex*>(snap->annIndex());
+  const auto* idx = snap->annIndex();
   ASSERT_NE(idx, nullptr);
   EXPECT_EQ(idx->numLists(), 1u);
 
@@ -290,20 +265,20 @@ TEST(IvfIndex, EdgeCases) {
   const auto qv = makeQuery(rng, *snap);
   // One list degenerates to brute force.
   const TopKQuery q{qv.data(), 4, {}};
-  expectSameCandidates(bruteForce(*snap, q), idx->search(q, 1, 0, 0, 10), "one-list");
+  expectSameCandidates(bruteForce(*snap, q), idx->search(q, 1, 0, 10), "one-list");
   // k = 0 and empty shard ranges return nothing.
   const TopKQuery q0{qv.data(), 0, {}};
-  EXPECT_TRUE(idx->search(q0, 1, 0, 0, 10).empty());
-  EXPECT_TRUE(idx->search(q, 1, 0, 5, 5).empty());
+  EXPECT_TRUE(idx->search(q0, 1, 0, 10).empty());
+  EXPECT_TRUE(idx->search(q, 1, 5, 5).empty());
   // nprobe = 0 is clamped to 1, not an empty scan.
   AnnSearchStats stats;
-  (void)idx->search(q, 0, 0, 0, 10, &stats);
+  (void)idx->search(q, 0, 0, 10, &stats);
   EXPECT_EQ(stats.probes, 1u);
 
   // Zero-row index: searchable, empty.
   AnnBuildOptions opts;
   const IvfIndex empty(nullptr, 0, 0, kDim, 1, opts, nullptr);
-  EXPECT_TRUE(empty.search(q, 4, 0, 0, 0).empty());
+  EXPECT_TRUE(empty.search(q, 4, 0, 0).empty());
 }
 
 TEST(IvfIndex, CandidateScoresBitExactAcrossSimdTiers) {
@@ -314,14 +289,14 @@ TEST(IvfIndex, CandidateScoresBitExactAcrossSimdTiers) {
     if (util::simd::forceTierForTesting(tier) != tier) continue;  // not on this CPU
     AnnBuildOptions opts;
     const auto snap = EmbeddingSnapshot::fromModel(model, nullptr, 1, opts);
-    const auto* idx = dynamic_cast<const IvfIndex*>(snap->annIndex());
+    const auto* idx = snap->annIndex();
     ASSERT_NE(idx, nullptr);
     util::Rng rng(6);
     const auto qv = makeQuery(rng, *snap);
     const TopKQuery q{qv.data(), 10, {}};
     // Within each tier, the ANN candidate path must reproduce the oracle's
     // scores exactly — the dot4-vs-dot contract holds tier by tier.
-    expectSameCandidates(bruteForce(*snap, q), idx->search(q, idx->numLists(), 0, 0, kRows),
+    expectSameCandidates(bruteForce(*snap, q), idx->search(q, idx->numLists(), 0, kRows),
                          std::string("tier ") + util::simd::tierName(tier));
   }
   util::simd::forceTierForTesting(original);
@@ -364,7 +339,6 @@ TEST(ServeAnnEngine, AnnModeClearsRecallFloorAndIsHostCountInvariant) {
   QueryOptions qo;
   qo.mode = QueryMode::kAnn;
   qo.nprobe = 6;
-  qo.refine = 4;
 
   std::vector<std::vector<Candidate>> firstRun;  // H=1 answers, the yardstick
   for (const unsigned numHosts : {1u, 2u, 3u}) {

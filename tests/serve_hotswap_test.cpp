@@ -129,7 +129,7 @@ TEST(ServeHotSwap, AnnIndexTravelsWithItsSnapshotUnderChurn) {
         auto pin = store.pin(r);
         if (!pin) continue;
         const std::uint64_t v = pin->version();
-        const AnnIndex* idx = pin->annIndex();
+        const IvfIndex* idx = pin->annIndex();
         if (idx == nullptr) {
           failures[r] = "snapshot without index at version " + std::to_string(v);
           return;
@@ -144,7 +144,7 @@ TEST(ServeHotSwap, AnnIndexTravelsWithItsSnapshotUnderChurn) {
         // — and must re-derive bitwise from the pinned rows.
         std::vector<float> q(kDim, 0.0f);
         q[v % kDim] = 1.0f;
-        const auto got = idx->search({q.data(), kK, {}}, 2, 0, 0, kVocab);
+        const auto got = idx->search({q.data(), kK, {}}, 2, 0, kVocab);
         if (got.size() != kK) {
           failures[r] = "short result at version " + std::to_string(v);
           return;
