@@ -6,21 +6,15 @@
 // O(H·n) bytes at the root and serialized in-order receives. This layer
 // provides the proper MPI-style algorithms:
 //
-//   allReduce   ring reduce-scatter + all-gather — ~2·n·(H−1)/H bytes per
-//               rank, perfectly balanced — or binomial tree reduce+broadcast
-//               for payloads too small to chunk.
-//   broadcast   binomial tree, ceil(log2 H) rounds.
-//   reduce      binomial tree to a root (non-root buffers are clobbered
-//               with partial folds).
-//   gatherv     variable-size payloads to a root, drained with recvAny.
-//   allGatherv  ring: every rank forwards each block once.
-//   allToAllv   personalized payload per peer, drained with recvAny — the
-//               primitive behind the sync engines' sparse exchanges.
-//
-// Reductions are pluggable: pass a CollOp (Sum/Min/Max) or any callable
-// `fold(std::span<T> acc, std::span<const T> incoming)` — the same
-// elementwise-fold shape as comm::Reducer::accumulate, so Sum/Avg folds
-// share one code path with the sync engine's reducer.
+//   allReduceSum  ring reduce-scatter + all-gather — ~2·n·(H−1)/H doubles
+//                 per rank, perfectly balanced — or binomial tree
+//                 reduce+broadcast for payloads too small to chunk.
+//   broadcast     a byte payload down a binomial tree, ceil(log2 H) rounds;
+//                 the message carries its own size.
+//   gatherv       variable-size payloads to a root, drained with recvAny.
+//   allGatherv    ring: every rank forwards each block once.
+//   allToAllv     personalized payload per peer, drained with recvAny — the
+//                 primitive behind the sync engines' sparse exchanges.
 //
 // Tag discipline: every operation draws a fresh tag from a per-instance
 // sequence, so late receivers can never mix operations. Instances that are
@@ -35,19 +29,17 @@
 // hide it.
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "comm/transport.h"
-#include "sim/comm_stats.h"
+#include "sim/network.h"
 
 namespace gw2v::comm {
 
 enum class CollectiveAlgo : int { kAuto = 0, kRing = 1, kTree = 2 };
-enum class CollOp : int { kSum = 0, kMin = 1, kMax = 2 };
 
 const char* collectiveAlgoName(CollectiveAlgo a) noexcept;
 
@@ -55,7 +47,6 @@ const char* collectiveAlgoName(CollectiveAlgo a) noexcept;
 /// tag space (their operation sequences would collide). Each subsystem gets
 /// its own.
 enum class TagSpace : int {
-  kDefault = 0,
   kModelSync = 1,
   kScalarSync = 2,
   kGraphAnalytics = 3,
@@ -80,7 +71,7 @@ constexpr std::pair<int, int> tagSpaceRange(TagSpace s) noexcept {
 
 class Collectives {
  public:
-  Collectives(Transport& transport, RankId me, TagSpace space = TagSpace::kDefault)
+  Collectives(Transport& transport, RankId me, TagSpace space)
       : t_(transport), me_(me), numRanks_(transport.numRanks()),
         spaceBase_(tagSpaceRange(space).first) {
     if (me_ >= numRanks_) throw std::invalid_argument("Collectives: rank out of range");
@@ -88,73 +79,23 @@ class Collectives {
     t_.registerTagRange(lo, hi, tagSpaceName(space));
   }
 
-  RankId id() const noexcept { return me_; }
-  unsigned numRanks() const noexcept { return numRanks_; }
-
   void barrier() { t_.barrier(me_); }
 
-  // ---- Dense typed collectives. ----
+  /// In-place sum allreduce; the result is identical on every rank.
+  void allReduceSum(std::span<double> values, CollectiveAlgo algo = CollectiveAlgo::kAuto);
 
-  /// In-place allreduce with a built-in elementwise op.
-  template <typename T>
-  void allReduce(std::span<T> values, CollOp op, CollectiveAlgo algo = CollectiveAlgo::kAuto,
-                 sim::CommPhase phase = sim::CommPhase::kReduce) {
-    allReduceWith(
-        values,
-        [op](std::span<T> acc, std::span<const T> in) { foldOp(op, acc, in); },
-        algo, phase);
-  }
-
-  /// In-place allreduce with a pluggable elementwise fold
-  /// `fold(acc, incoming)`; the result is identical on every rank.
-  template <typename T, typename Fold>
-  void allReduceWith(std::span<T> values, Fold fold,
-                     CollectiveAlgo algo = CollectiveAlgo::kAuto,
-                     sim::CommPhase phase = sim::CommPhase::kReduce) {
-    if (numRanks_ <= 1 || values.empty()) return;
-    if (resolveAllReduce(algo, values.size()) == CollectiveAlgo::kRing) {
-      ringAllReduce(values, fold, phase);
-    } else {
-      treeReduce(values, 0, fold, phase);
-      treeBroadcast(values, 0, phase);
-    }
-  }
-
-  void allReduceSum(std::span<double> values,
-                    CollectiveAlgo algo = CollectiveAlgo::kAuto,
-                    sim::CommPhase phase = sim::CommPhase::kReduce) {
-    allReduce(values, CollOp::kSum, algo, phase);
-  }
-
-  /// In-place binomial-tree broadcast from `root`; non-root buffers are
-  /// overwritten.
-  template <typename T>
-  void broadcast(std::span<T> values, RankId root,
-                 sim::CommPhase phase = sim::CommPhase::kBroadcast) {
-    if (numRanks_ <= 1) return;
-    treeBroadcast(values, root, phase);
-  }
-
-  /// Binomial-tree reduce into `root`'s buffer. Non-root buffers hold
-  /// unspecified partial folds afterwards.
-  template <typename T, typename Fold>
-  void reduce(std::span<T> values, RankId root, Fold fold,
-              sim::CommPhase phase = sim::CommPhase::kReduce) {
-    if (numRanks_ <= 1 || values.empty()) return;
-    treeReduce(values, root, fold, phase);
-  }
-
-  // ---- Variable-size byte collectives (implemented in collectives.cpp). ----
+  /// Binomial-tree broadcast of `root`'s `bytes`, returned on every rank
+  /// (the argument is ignored elsewhere). Receivers take whatever size the
+  /// root sent.
+  std::vector<std::uint8_t> broadcast(std::vector<std::uint8_t> bytes, RankId root);
 
   /// Gather every rank's payload at `root`, drained with recvAny. Returns a
   /// per-source vector at the root (own payload included); empty elsewhere.
-  std::vector<std::vector<std::uint8_t>> gatherv(std::vector<std::uint8_t> mine, RankId root,
-                                                 sim::CommPhase phase = sim::CommPhase::kReduce);
+  std::vector<std::vector<std::uint8_t>> gatherv(std::vector<std::uint8_t> mine, RankId root);
 
   /// Every rank ends up with every rank's payload (ring forwarding: each
   /// block crosses each link exactly once). Indexed by source rank.
-  std::vector<std::vector<std::uint8_t>> allGatherv(
-      std::vector<std::uint8_t> mine, sim::CommPhase phase = sim::CommPhase::kBroadcast);
+  std::vector<std::vector<std::uint8_t>> allGatherv(std::vector<std::uint8_t> mine);
 
   /// Personalized exchange: `toPeer[p]` is moved to rank p and each peer's
   /// payload lands in `from[src]`; self slots are ignored and left untouched.
@@ -162,43 +103,12 @@ class Collectives {
   /// recycle the payload buffers across exchanges. The drain uses recvAny,
   /// so a slow peer never blocks faster ones.
   void allToAllv(std::vector<std::vector<std::uint8_t>>& toPeer,
-                 std::vector<std::vector<std::uint8_t>>& from,
-                 sim::CommPhase phase = sim::CommPhase::kOther);
+                 std::vector<std::vector<std::uint8_t>>& from);
 
   /// Operations issued so far (tags consumed); equal on every rank in SPMD.
   std::uint64_t opsIssued() const noexcept { return seq_; }
 
  private:
-  template <typename T>
-  static void foldOp(CollOp op, std::span<T> acc, std::span<const T> in) {
-    switch (op) {
-      case CollOp::kSum:
-        for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += in[i];
-        break;
-      case CollOp::kMin:
-        for (std::size_t i = 0; i < acc.size(); ++i) acc[i] = in[i] < acc[i] ? in[i] : acc[i];
-        break;
-      case CollOp::kMax:
-        for (std::size_t i = 0; i < acc.size(); ++i) acc[i] = in[i] > acc[i] ? in[i] : acc[i];
-        break;
-    }
-  }
-
-  /// Ring needs >= 1 element per chunk to beat the tree; tiny payloads take
-  /// the 2·ceil(log2 H)-round tree instead. Deterministic in (n, H) so all
-  /// ranks agree without coordination.
-  CollectiveAlgo resolveAllReduce(CollectiveAlgo algo, std::size_t n) const noexcept {
-    if (algo != CollectiveAlgo::kAuto) return algo;
-    return n >= 2 * static_cast<std::size_t>(numRanks_) ? CollectiveAlgo::kRing
-                                                        : CollectiveAlgo::kTree;
-  }
-
-  static unsigned ceilLog2(unsigned v) noexcept {
-    unsigned r = 0;
-    while ((1u << r) < v) ++r;
-    return r;
-  }
-
   /// Fresh tag per operation; the per-instance sequence keeps rounds apart
   /// (wraps far beyond any in-flight window). Each op may use a few adjacent
   /// subtags.
@@ -212,98 +122,8 @@ class Collectives {
     t_.statsFor(me_).recordCollectiveRounds(rounds);
   }
 
-  template <typename T>
-  std::span<T> chunkOf(std::span<T> v, unsigned c) const noexcept {
-    const std::size_t lo = v.size() * c / numRanks_;
-    const std::size_t hi = v.size() * (c + 1) / numRanks_;
-    return v.subspan(lo, hi - lo);
-  }
-
-  // Ring reduce-scatter + all-gather: step s, rank i sends chunk (i−s) mod H
-  // right and folds chunk (i−s−1) mod H from the left; after H−1 steps rank i
-  // owns the fully-reduced chunk (i+1) mod H, which the all-gather circulates.
-  template <typename T, typename Fold>
-  void ringAllReduce(std::span<T> v, Fold& fold, sim::CommPhase phase) {
-    const unsigned H = numRanks_;
-    const int tag = nextTag();
-    const RankId right = (me_ + 1) % H;
-    const RankId left = (me_ + H - 1) % H;
-    for (unsigned s = 0; s < H - 1; ++s) {
-      const auto out = chunkOf(std::span<const T>(v), (me_ + H - s) % H);
-      t_.sendElems<T>(me_, right, tag, out, phase);
-      const std::vector<T> in = t_.recvElems<T>(me_, left, tag, phase);
-      const auto dst = chunkOf(v, (me_ + H - s - 1) % H);
-      if (in.size() != dst.size())
-        throw std::runtime_error("ring allreduce: chunk size mismatch across ranks");
-      fold(dst, std::span<const T>(in));
-    }
-    for (unsigned s = 0; s < H - 1; ++s) {
-      const auto out = chunkOf(std::span<const T>(v), (me_ + 1 + H - s) % H);
-      t_.sendElems<T>(me_, right, tag + 1, out, phase);
-      const std::vector<T> in = t_.recvElems<T>(me_, left, tag + 1, phase);
-      const auto dst = chunkOf(v, (me_ + H - s) % H);
-      if (in.size() != dst.size())
-        throw std::runtime_error("ring allgather: chunk size mismatch across ranks");
-      std::copy(in.begin(), in.end(), dst.begin());
-    }
-    recordRounds(2 * (H - 1));
-  }
-
-  // Binomial tree rooted at `root`, standard MPICH rank-relabelling: the
-  // receive loop finds the parent at this rank's lowest set bit; the send
-  // loop covers the remaining lower bits.
-  template <typename T>
-  void treeBroadcast(std::span<T> v, RankId root, sim::CommPhase phase) {
-    const unsigned H = numRanks_;
-    const int tag = nextTag();
-    const unsigned vr = (me_ + H - root) % H;
-    unsigned mask = 1;
-    while (mask < H) {
-      if (vr & mask) {
-        const RankId src = (vr - mask + root) % H;
-        const std::vector<T> in = t_.recvElems<T>(me_, src, tag, phase);
-        if (in.size() != v.size())
-          throw std::runtime_error("broadcast: size mismatch across ranks");
-        std::copy(in.begin(), in.end(), v.begin());
-        break;
-      }
-      mask <<= 1;
-    }
-    mask >>= 1;
-    while (mask > 0) {
-      if (vr + mask < H) {
-        const RankId dst = (vr + mask + root) % H;
-        t_.sendElems<T>(me_, dst, tag, std::span<const T>(v), phase);
-      }
-      mask >>= 1;
-    }
-    recordRounds(ceilLog2(H));
-  }
-
-  template <typename T, typename Fold>
-  void treeReduce(std::span<T> v, RankId root, Fold& fold, sim::CommPhase phase) {
-    const unsigned H = numRanks_;
-    const int tag = nextTag();
-    const unsigned vr = (me_ + H - root) % H;
-    unsigned mask = 1;
-    while (mask < H) {
-      if ((vr & mask) == 0) {
-        if (vr + mask < H) {
-          const RankId src = (vr + mask + root) % H;
-          const std::vector<T> in = t_.recvElems<T>(me_, src, tag, phase);
-          if (in.size() != v.size())
-            throw std::runtime_error("reduce: size mismatch across ranks");
-          fold(v, std::span<const T>(in));
-        }
-      } else {
-        const RankId dst = (vr - mask + root) % H;
-        t_.sendElems<T>(me_, dst, tag, std::span<const T>(v), phase);
-        break;
-      }
-      mask <<= 1;
-    }
-    recordRounds(ceilLog2(H));
-  }
+  void ringAllReduceSum(std::span<double> v);
+  void treeReduceSum(std::span<double> v, RankId root);
 
   Transport& t_;
   RankId me_;

@@ -34,25 +34,20 @@ void forEachEntry(std::span<const std::uint8_t> payload, std::uint32_t lo, std::
 
 ScalarSyncEngine::ScalarSyncEngine(sim::HostContext& ctx, std::span<float> values,
                                    util::BitVector& touched,
-                                   const graph::BlockedPartition& partition,
-                                   ScalarReduceOp op)
+                                   const graph::BlockedPartition& partition)
     : ctx_(ctx),
       transport_(ctx.network()),
       coll_(transport_, ctx.id(), TagSpace::kScalarSync),
       values_(values),
       touched_(touched),
-      partition_(partition),
-      op_(op) {
+      partition_(partition) {
   assert(values_.size() == partition_.numNodes());
   assert(touched_.size() >= partition_.numNodes());
 }
 
 std::uint64_t ScalarSyncEngine::sync() {
   const unsigned numHosts = ctx_.numHosts();
-  const sim::HostId me = ctx_.id();
-  const auto better = [this](float candidate, float current) {
-    return op_ == ScalarReduceOp::kMin ? candidate < current : candidate > current;
-  };
+  const unsigned me = ctx_.id();
 
   const sim::CommSnapshot before = sim::snapshot(ctx_.commStats());
 
@@ -69,7 +64,7 @@ std::uint64_t ScalarSyncEngine::sync() {
     });
     reduceOut[peer] = w.take();
   }
-  coll_.allToAllv(reduceOut, reduceIn, sim::CommPhase::kReduce);
+  coll_.allToAllv(reduceOut, reduceIn);
 
   // Master-side fold. Track which owned labels improved.
   std::uint64_t changed = 0;
@@ -80,7 +75,7 @@ std::uint64_t ScalarSyncEngine::sync() {
   for (unsigned src = 0; src < numHosts; ++src) {
     if (src == me) continue;
     forEachEntry(reduceIn[src], ownLo, ownHi, [&](std::uint32_t n, float v) {
-      if (better(v, values_[n])) {
+      if (v < values_[n]) {
         values_[n] = v;
         improved.set(n - ownLo);
         ++changed;
@@ -98,7 +93,7 @@ std::uint64_t ScalarSyncEngine::sync() {
     w.put(values_[n]);
   });
   const std::vector<std::vector<std::uint8_t>> bcastIn =
-      coll_.allGatherv(w.take(), sim::CommPhase::kBroadcast);
+      coll_.allGatherv(w.take());
   for (unsigned src = 0; src < numHosts; ++src) {
     if (src == me) continue;
     const auto [lo, hi] = partition_.masterRange(src);

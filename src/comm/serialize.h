@@ -62,7 +62,7 @@ class ByteReader {
   std::span<const T> view(std::size_t n) {
     static_assert(std::is_trivially_copyable_v<T>);
     static_assert(alignof(T) <= alignof(std::max_align_t));
-    require(n * sizeof(T));
+    if (n > remaining() / sizeof(T)) throw std::runtime_error("ByteReader: truncated message");
     const std::uint8_t* raw = bytes_.data() + pos_;
     pos_ += n * sizeof(T);
     if (reinterpret_cast<std::uintptr_t>(raw) % alignof(T) == 0) {
@@ -78,7 +78,7 @@ class ByteReader {
 
  private:
   void require(std::size_t n) const {
-    if (pos_ + n > bytes_.size()) throw std::runtime_error("ByteReader: truncated message");
+    if (n > remaining()) throw std::runtime_error("ByteReader: truncated message");
   }
 
   std::span<const std::uint8_t> bytes_;

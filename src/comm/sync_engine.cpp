@@ -120,7 +120,7 @@ void SyncEngine::releaseBuf(std::vector<std::uint8_t>&& b) {
 // names rows of this host's master range, ascending.
 void SyncEngine::exchangeWillAccess(const util::BitVector* willAccess) {
   const unsigned numHosts = ctx_.numHosts();
-  const sim::HostId me = ctx_.id();
+  const unsigned me = ctx_.id();
   ensureSize(pullWants_, numHosts);
   for (auto& v : pullWants_) v.clear();
   if (numHosts <= 1) return;
@@ -152,7 +152,7 @@ void SyncEngine::exchangeWillAccess(const util::BitVector* willAccess) {
     sendBufs_[peer] = std::move(buf);
   }
   const double packW = t.seconds();
-  coll_.allToAllv(sendBufs_, recvBufs_, sim::CommPhase::kControl);
+  coll_.allToAllv(sendBufs_, recvBufs_);
   t.reset();
   const auto [ownLo, ownHi] = partition_.masterRange(me);
   for (unsigned src = 0; src < numHosts; ++src) {
@@ -182,7 +182,7 @@ void SyncEngine::exchangeWillAccess(const util::BitVector* willAccess) {
 // in DESIGN.md §5f.
 void SyncEngine::doSync(const util::BitVector* willAccess) {
   const unsigned numHosts = ctx_.numHosts();
-  const sim::HostId me = ctx_.id();
+  const unsigned me = ctx_.id();
   const std::uint32_t dim = model_.dim();
   const bool naive = strategy_ == SyncStrategy::kRepModelNaive;
   const bool pull = strategy_ == SyncStrategy::kPullModel;
@@ -381,7 +381,7 @@ void SyncEngine::doSync(const util::BitVector* willAccess) {
       },
       {.chunkSize = 1});
   const double packW = t.seconds();
-  coll_.allToAllv(sendBufs_, recvBufs_, sim::CommPhase::kReduce);
+  coll_.allToAllv(sendBufs_, recvBufs_);
   t.reset();
   for (unsigned src = 0; src < numHosts; ++src) {
     if (src != me) parseSegments(src, ownLo, ownHi);
@@ -536,7 +536,7 @@ void SyncEngine::doSync(const util::BitVector* willAccess) {
       },
       {.chunkSize = 1});
   const double bPackW = t.seconds();
-  coll_.allToAllv(sendBufs_, recvBufs_, sim::CommPhase::kBroadcast);
+  coll_.allToAllv(sendBufs_, recvBufs_);
   t.reset();
   tasks_.clear();
   for (unsigned src = 0; src < numHosts; ++src) {

@@ -5,19 +5,18 @@
 //
 // A Transport moves opaque byte payloads between ranks with (source, tag)
 // matching, provides an any-source receive, a global barrier, and per-rank
-// per-phase byte/message accounting (sim::CommStats). Blocking calls must
-// throw sim::NetworkAborted once the fabric is poisoned so a faulted rank
-// can never deadlock its peers — this is the abort-propagation half of the
-// contract, and comm::Collectives relies on it.
+// traffic counts (bytes sent and received, messages, collective rounds).
+// Blocking calls must throw sim::NetworkAborted once the fabric is poisoned
+// so a faulted rank can never deadlock its peers — this is the
+// abort-propagation half of the contract, and comm::Collectives relies on it.
 //
 // SimTransport is the first backend: a thin adapter over the in-process
-// sim::Network. A socket or MPI backend plugs in by implementing the same
-// six virtuals; everything above this seam (Collectives, SyncEngine,
-// ScalarSyncEngine, the baselines) is transport-agnostic.
+// simulated network. A socket or MPI backend plugs in by implementing the
+// same five virtuals plus the counters; everything above this seam
+// (Collectives, SyncEngine, ScalarSyncEngine, the baselines) is
+// transport-agnostic.
 
 #include <cstdint>
-#include <cstring>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -26,7 +25,7 @@
 
 namespace gw2v::comm {
 
-using RankId = sim::HostId;
+using RankId = unsigned;
 
 class Transport {
  public:
@@ -35,28 +34,21 @@ class Transport {
   virtual unsigned numRanks() const noexcept = 0;
 
   /// Enqueue `payload` for `dst`; never blocks on the receiver. Accounts
-  /// bytes (payload + framing) and one message under `phase`.
-  virtual void send(RankId src, RankId dst, int tag, std::vector<std::uint8_t> payload,
-                    sim::CommPhase phase) = 0;
+  /// bytes (payload + framing) and one message.
+  virtual void send(RankId src, RankId dst, int tag, std::vector<std::uint8_t> payload) = 0;
 
   /// Blocking receive matching (src, tag) at rank `dst`.
-  virtual std::vector<std::uint8_t> recv(RankId dst, RankId src, int tag,
-                                         sim::CommPhase phase) = 0;
+  virtual std::vector<std::uint8_t> recv(RankId dst, RankId src, int tag) = 0;
 
   /// Blocking receive matching any source (MPI_ANY_SOURCE); returns the
   /// sender. Lets root-side drains proceed in arrival order instead of
   /// head-of-line blocking on a fixed rank sequence.
-  virtual std::pair<RankId, std::vector<std::uint8_t>> recvAny(RankId dst, int tag,
-                                                               sim::CommPhase phase) = 0;
+  virtual std::pair<RankId, std::vector<std::uint8_t>> recvAny(RankId dst, int tag) = 0;
 
   /// Global barrier across all ranks.
   virtual void barrier(RankId rank) = 0;
 
-  /// True once the fabric is poisoned; blocking calls throw NetworkAborted.
-  virtual bool aborted() const noexcept = 0;
-
-  /// Per-rank traffic accounting (bytes/messages per phase + collective
-  /// rounds); Collectives records its round counts here.
+  /// Per-rank traffic counts; Collectives records its round counts here.
   virtual sim::CommStats& statsFor(RankId rank) noexcept = 0;
 
   /// Declare ownership of the half-open tag range [lo, hi). Backends that can
@@ -64,30 +56,6 @@ class Transport {
   /// a cross-subsystem overlap; backends that cannot may ignore it, so this
   /// is a debugging contract, not a delivery guarantee.
   virtual void registerTagRange(int /*lo*/, int /*hi*/, const char* /*owner*/) {}
-
-  // ---- Typed conveniences (trivially-copyable elements). ----
-
-  template <typename T>
-  void sendElems(RankId src, RankId dst, int tag, std::span<const T> data,
-                 sim::CommPhase phase) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<std::uint8_t> bytes(data.size_bytes());
-    if (!bytes.empty()) std::memcpy(bytes.data(), data.data(), bytes.size());
-    send(src, dst, tag, std::move(bytes), phase);
-  }
-
-  template <typename T>
-  std::vector<T> recvElems(RankId dst, RankId src, int tag, sim::CommPhase phase) {
-    return elemsFromBytes<T>(recv(dst, src, tag, phase));
-  }
-
-  template <typename T>
-  static std::vector<T> elemsFromBytes(const std::vector<std::uint8_t>& bytes) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<T> out(bytes.size() / sizeof(T));
-    if (!out.empty()) std::memcpy(out.data(), bytes.data(), out.size() * sizeof(T));
-    return out;
-  }
 };
 
 /// Backend #1: the in-process simulated network. Stateless wrapper — cheap to
@@ -98,24 +66,19 @@ class SimTransport final : public Transport {
 
   unsigned numRanks() const noexcept override { return net_.numHosts(); }
 
-  void send(RankId src, RankId dst, int tag, std::vector<std::uint8_t> payload,
-            sim::CommPhase phase) override {
-    net_.send(src, dst, tag, std::move(payload), phase);
+  void send(RankId src, RankId dst, int tag, std::vector<std::uint8_t> payload) override {
+    net_.send(src, dst, tag, std::move(payload));
   }
 
-  std::vector<std::uint8_t> recv(RankId dst, RankId src, int tag,
-                                 sim::CommPhase phase) override {
-    return net_.recv(dst, src, tag, phase);
+  std::vector<std::uint8_t> recv(RankId dst, RankId src, int tag) override {
+    return net_.recv(dst, src, tag);
   }
 
-  std::pair<RankId, std::vector<std::uint8_t>> recvAny(RankId dst, int tag,
-                                                       sim::CommPhase phase) override {
-    return net_.recvAny(dst, tag, phase);
+  std::pair<RankId, std::vector<std::uint8_t>> recvAny(RankId dst, int tag) override {
+    return net_.recvAny(dst, tag);
   }
 
   void barrier(RankId rank) override { net_.barrier(rank); }
-
-  bool aborted() const noexcept override { return net_.aborted(); }
 
   sim::CommStats& statsFor(RankId rank) noexcept override { return net_.statsFor(rank); }
 

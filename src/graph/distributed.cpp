@@ -34,7 +34,7 @@ DistributedResult runBsp(const CSRGraph& g, unsigned numHosts,
   result.cluster = sim::runCluster(copts, [&](sim::HostContext& ctx) {
     std::vector<float>& values = replicas[ctx.id()];
     util::BitVector touched(g.numNodes());
-    comm::ScalarSyncEngine sync(ctx, values, touched, partition, comm::ScalarReduceOp::kMin);
+    comm::ScalarSyncEngine sync(ctx, values, touched, partition);
     comm::SimTransport transport(ctx.network());
     comm::Collectives coll(transport, ctx.id(), comm::TagSpace::kGraphAnalytics);
     const auto [lo, hi] = partition.masterRange(ctx.id());

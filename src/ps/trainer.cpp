@@ -48,7 +48,7 @@ PsResult trainAsyncPs(const text::Vocabulary& vocab, std::span<const text::WordI
     comm::SimTransport net(ctx.network());
     const auto [tagLo, tagHi] = comm::tagSpaceRange(comm::TagSpace::kPs);
     net.registerTagRange(tagLo, tagHi, comm::tagSpaceName(comm::TagSpace::kPs));
-    const sim::HostId me = ctx.id();
+    const unsigned me = ctx.id();
 
     if (me < numServers) {
       // ---- Server rank: dispatch requests in arrival order; the core's
@@ -58,10 +58,10 @@ PsResult trainAsyncPs(const text::Vocabulary& vocab, std::span<const text::WordI
       const auto emit = [&](unsigned worker, double readyVt, std::vector<std::uint8_t> bodyBytes) {
         auto msg = withEnvelope(MsgKind::kReply, std::move(bodyBytes));
         stampArrival(msg, vt.departAt(me, readyVt, msg.size()));
-        net.send(me, numServers + worker, kTagReply, std::move(msg), sim::CommPhase::kBroadcast);
+        net.send(me, numServers + worker, kTagReply, std::move(msg));
       };
       while (!core->finished()) {
-        auto [src, payload] = net.recvAny(me, kTagRequest, sim::CommPhase::kControl);
+        auto [src, payload] = net.recvAny(me, kTagRequest);
         comm::ByteReader r(payload);
         const auto [kind, arriveVt] = readEnvelope(r);
         const unsigned worker = static_cast<unsigned>(src) - numServers;
@@ -106,10 +106,10 @@ PsResult trainAsyncPs(const text::Vocabulary& vocab, std::span<const text::WordI
         auto msg = withEnvelope(MsgKind::kGet, std::move(getBodies[s]));
         chargeCpu();
         stampArrival(msg, vt.depart(me, msg.size()));
-        net.send(me, s, kTagRequest, std::move(msg), sim::CommPhase::kControl);
+        net.send(me, s, kTagRequest, std::move(msg));
       }
       for (unsigned s = 0; s < numServers; ++s) {
-        const auto payload = net.recv(me, s, kTagReply, sim::CommPhase::kBroadcast);
+        const auto payload = net.recv(me, s, kTagReply);
         comm::ByteReader r(payload);
         const auto [kind, arriveVt] = readEnvelope(r);
         if (kind != MsgKind::kReply) throw std::logic_error("ps worker: expected a reply");
@@ -128,7 +128,7 @@ PsResult trainAsyncPs(const text::Vocabulary& vocab, std::span<const text::WordI
         // are still being encoded.
         chargeCpu();
         stampArrival(msg, vt.depart(me, msg.size()));
-        net.send(me, s, kTagRequest, std::move(msg), sim::CommPhase::kReduce);
+        net.send(me, s, kTagRequest, std::move(msg));
       });
       ws.local().clearTouched();
       ctx.computeTimer().stop();
@@ -148,7 +148,7 @@ PsResult trainAsyncPs(const text::Vocabulary& vocab, std::span<const text::WordI
       auto msg = withEnvelope(MsgKind::kDone, {});
       chargeCpu();
       stampArrival(msg, vt.depart(me, msg.size()));
-      net.send(me, s, kTagRequest, std::move(msg), sim::CommPhase::kControl);
+      net.send(me, s, kTagRequest, std::move(msg));
     }
     ctx.chargeExchange({});
     clientStats[worker] = ws.client().stats();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <functional>
 #include <stdexcept>
 
 #include "comm/serialize.h"
@@ -41,6 +42,44 @@ std::vector<std::vector<Candidate>> parseParts(std::span<const std::uint8_t> byt
   }
   if (!r.done()) throw std::runtime_error("QueryEngine: trailing bytes in partial top-k");
   return parts;
+}
+
+/// One round's queries as views into the message bytes the reader holds.
+struct Round {
+  std::vector<TopKQuery> queries;
+  std::vector<QueryOptions> qopts;
+};
+
+/// Decodes a round message: u32 count, u32 dim, count×dim floats, then per
+/// query u32 k, u32 mode, u32 nprobe, u32 exclude length and the ids. Every
+/// value is checked before use; a malformed round throws.
+Round decodeRound(comm::ByteReader& rd, std::uint32_t snapshotDim) {
+  const auto count = rd.get<std::uint32_t>();
+  const auto dim = rd.get<std::uint32_t>();
+  if (dim != snapshotDim)
+    throw std::runtime_error("QueryEngine: round dim does not match the local snapshot");
+  const auto matrix = rd.view<float>(static_cast<std::size_t>(count) * dim);
+  Round round;
+  for (std::uint32_t q = 0; q < count; ++q) {
+    TopKQuery tq;
+    tq.vec = matrix.data() + static_cast<std::size_t>(q) * dim;
+    tq.k = rd.get<std::uint32_t>();
+    QueryOptions qo;
+    const auto mode = rd.get<std::uint32_t>();
+    if (mode != static_cast<std::uint32_t>(QueryMode::kExact) &&
+        mode != static_cast<std::uint32_t>(QueryMode::kAnn))
+      throw std::runtime_error("QueryEngine: unknown query mode");
+    qo.mode = static_cast<QueryMode>(mode);
+    qo.nprobe = rd.get<std::uint32_t>();
+    tq.sortedExclude = rd.view<text::WordId>(rd.get<std::uint32_t>());
+    if (std::adjacent_find(tq.sortedExclude.begin(), tq.sortedExclude.end(),
+                           std::greater_equal<>()) != tq.sortedExclude.end())
+      throw std::runtime_error("QueryEngine: exclude list is not strictly ascending");
+    round.queries.push_back(tq);
+    round.qopts.push_back(qo);
+  }
+  if (!rd.done()) throw std::runtime_error("QueryEngine: trailing bytes in query round");
+  return round;
 }
 
 }  // namespace
@@ -170,10 +209,7 @@ void QueryEngine::runCoordinator() {
   for (;;) {
     std::vector<Request> batch = nextBatch();
     if (batch.empty()) {
-      BatchHeader stop;
-      stop.stop = 1;
-      coll_.broadcast(std::span<BatchHeader>(&stop, 1), 0,
-                      sim::CommPhase::kControl);
+      coll_.broadcast({}, 0);  // the empty round: stop
       break;
     }
     refreshPin(pin, index);
@@ -207,9 +243,10 @@ void QueryEngine::runCoordinator() {
     }
     if (live.empty()) continue;
 
-    // Pack the round: query matrix first, then per-query k + mode/ANN knobs
-    // + exclude list.
+    // Pack the round into one message (layout at decodeRound).
     comm::ByteWriter w;
+    w.put<std::uint32_t>(static_cast<std::uint32_t>(live.size()));
+    w.put<std::uint32_t>(snap.dim());
     for (const auto& r : live) w.putSpan<float>(r.vec);
     for (const auto& r : live) {
       w.put<std::uint32_t>(r.k);
@@ -218,17 +255,7 @@ void QueryEngine::runCoordinator() {
       w.put<std::uint32_t>(static_cast<std::uint32_t>(r.exclude.size()));
       w.putSpan<text::WordId>(r.exclude);
     }
-    std::vector<std::uint8_t> payload = w.take();
-
-    BatchHeader h;
-    h.count = static_cast<std::uint32_t>(live.size());
-    h.dim = snap.dim();
-    h.payloadBytes = static_cast<std::uint32_t>(payload.size());
-    h.version = snap.version();
-    coll_.broadcast(std::span<BatchHeader>(&h, 1), 0,
-                    sim::CommPhase::kControl);
-    coll_.broadcast(std::span<std::uint8_t>(payload), 0,
-                    sim::CommPhase::kBroadcast);
+    coll_.broadcast(w.take(), 0);
     metrics_.batches.fetch_add(1, std::memory_order_relaxed);
     metrics_.batchedQueries.fetch_add(live.size(), std::memory_order_relaxed);
 
@@ -242,8 +269,7 @@ void QueryEngine::runCoordinator() {
     }
     const auto mine = scoreLocal(index, queries, qopts);
 
-    const auto perRank =
-        coll_.gatherv(serializeParts(mine), 0, sim::CommPhase::kReduce);
+    const auto perRank = coll_.gatherv(serializeParts(mine), 0);
     std::vector<std::vector<std::vector<Candidate>>> parts(numRanks_);
     for (unsigned r = 0; r < numRanks_; ++r) parts[r] = parseParts(perRank[r], live.size());
 
@@ -324,39 +350,12 @@ void QueryEngine::runWorker() {
   ShardedIndex index(*pin, me_, numRanks_);
 
   for (;;) {
-    BatchHeader h;
-    coll_.broadcast(std::span<BatchHeader>(&h, 1), 0,
-                    sim::CommPhase::kControl);
-    if (h.stop != 0) break;
-    std::vector<std::uint8_t> payload(h.payloadBytes);
-    coll_.broadcast(std::span<std::uint8_t>(payload), 0,
-                    sim::CommPhase::kBroadcast);
+    const std::vector<std::uint8_t> message = coll_.broadcast({}, 0);
+    if (message.empty()) break;  // stop
     refreshPin(pin, index);
-    if (h.dim != pin->dim())
-      throw std::runtime_error("QueryEngine: batch dim does not match local snapshot");
-
-    comm::ByteReader rd(payload);
-    const auto matrix = rd.view<float>(static_cast<std::size_t>(h.count) * h.dim);
-    std::vector<TopKQuery> queries;
-    std::vector<QueryOptions> qopts;
-    queries.reserve(h.count);
-    qopts.reserve(h.count);
-    for (std::uint32_t q = 0; q < h.count; ++q) {
-      TopKQuery tq;
-      tq.vec = matrix.data() + static_cast<std::size_t>(q) * h.dim;
-      tq.k = rd.get<std::uint32_t>();
-      QueryOptions qo;
-      qo.mode = static_cast<QueryMode>(rd.get<std::uint32_t>());
-      qo.nprobe = rd.get<std::uint32_t>();
-      const std::uint32_t exLen = rd.get<std::uint32_t>();
-      tq.sortedExclude = rd.view<text::WordId>(exLen);
-      queries.push_back(tq);
-      qopts.push_back(qo);
-    }
-    if (!rd.done()) throw std::runtime_error("QueryEngine: trailing bytes in query batch");
-
-    coll_.gatherv(serializeParts(scoreLocal(index, queries, qopts)), 0,
-                  sim::CommPhase::kReduce);
+    comm::ByteReader rd(message);
+    const Round round = decodeRound(rd, pin->dim());
+    coll_.gatherv(serializeParts(scoreLocal(index, round.queries, round.qopts)), 0);
   }
 }
 

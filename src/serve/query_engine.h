@@ -9,13 +9,18 @@
 // batchWindowMicros after the first arrival to fill up). Each batch is one
 // collective round in TagSpace::kServe:
 //
-//   broadcast  BatchHeader + packed queries (matrix + per-query k/exclude)
+//   broadcast  one message: count, dim, the query matrix, then per query
+//              k, mode, nprobe and the exclude list; an empty message is
+//              the stop signal
 //   local      every rank scores its blocked vocabulary shard (SIMD top-k)
 //   gatherv    partial top-k lists back to rank 0, merged under the
 //              deterministic `better` order — identical to a single-host scan
 //
-// Query traffic is charged to the normal CommPhase accounting (broadcast /
-// reduce), so bytes-per-query falls out of CommStats like every other
+// Workers check every value of a round before use — the dim against their
+// pinned snapshot, the mode, each exclude list's strict ascending order (the
+// top-k heap binary-searches it), and truncated or trailing bytes — and
+// throw std::runtime_error on a malformed one. Query traffic lands in the
+// ranks' CommStats, so bytes-per-query falls out like every other
 // subsystem's volume.
 //
 // Each rank pins its SnapshotStore's current version for whole batches and
@@ -92,8 +97,9 @@ class QueryEngine {
   const ServeOptions& options() const noexcept { return opts_; }
 
   /// SPMD entry. Rank 0: dispatch batches until shutdown() and the queue is
-  /// drained. Other ranks: serve scoring rounds until the stop broadcast.
-  /// Requires a published snapshot.
+  /// drained. Other ranks: serve scoring rounds until the stop broadcast;
+  /// a malformed round throws std::runtime_error. Requires a published
+  /// snapshot.
   void run();
 
   /// Rank 0, thread-safe, blocking. `vec` must have snapshot dim elements;
@@ -134,15 +140,6 @@ class QueryEngine {
     CacheKey key{};
     bool cacheable = false;
     std::promise<QueryResult> promise;
-  };
-
-  /// Fixed-size round preamble broadcast before the packed queries.
-  struct BatchHeader {
-    std::uint32_t stop = 0;
-    std::uint32_t count = 0;
-    std::uint32_t dim = 0;
-    std::uint32_t payloadBytes = 0;
-    std::uint64_t version = 0;
   };
 
   void runCoordinator();

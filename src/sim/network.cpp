@@ -11,18 +11,10 @@ Network::Network(unsigned numHosts)
   if (numHosts == 0) throw std::invalid_argument("Network: numHosts must be >= 1");
 }
 
-void Network::send(HostId src, HostId dst, int tag, std::vector<std::uint8_t> payload,
-                   CommPhase phase) {
+void Network::send(HostId src, HostId dst, int tag, std::vector<std::uint8_t> payload) {
   assert(src < numHosts_ && dst < numHosts_);
   if (aborted()) throw NetworkAborted();
-  const std::uint64_t wire = payload.size() + kHeaderBytes;
-  stats_[src].recordSend(phase, wire);
-  if (src == dst) {
-    // Loopback still goes through the mailbox so the programming model is
-    // uniform, but a real NIC would not be crossed; keep the accounting — a
-    // single-host cluster simply has near-zero cross-host traffic by
-    // construction (the sync engine never loops back bulk data).
-  }
+  stats_[src].recordSend(payload.size() + kHeaderBytes);
   Mailbox& mb = mailboxes_[dst];
   {
     std::lock_guard<std::mutex> lock(mb.mutex);
@@ -31,7 +23,7 @@ void Network::send(HostId src, HostId dst, int tag, std::vector<std::uint8_t> pa
   mb.cv.notify_all();
 }
 
-std::vector<std::uint8_t> Network::recv(HostId dst, HostId src, int tag, CommPhase phase) {
+std::vector<std::uint8_t> Network::recv(HostId dst, HostId src, int tag) {
   assert(dst < numHosts_ && src < numHosts_);
   Mailbox& mb = mailboxes_[dst];
   std::unique_lock<std::mutex> lock(mb.mutex);
@@ -43,15 +35,14 @@ std::vector<std::uint8_t> Network::recv(HostId dst, HostId src, int tag, CommPha
     if (it != mb.messages.end()) {
       std::vector<std::uint8_t> payload = std::move(it->payload);
       mb.messages.erase(it);
-      stats_[dst].recordReceive(phase, payload.size() + kHeaderBytes);
+      stats_[dst].recordReceive(payload.size() + kHeaderBytes);
       return payload;
     }
     mb.cv.wait(lock);
   }
 }
 
-std::pair<HostId, std::vector<std::uint8_t>> Network::recvAny(HostId dst, int tag,
-                                                              CommPhase phase) {
+std::pair<HostId, std::vector<std::uint8_t>> Network::recvAny(HostId dst, int tag) {
   assert(dst < numHosts_);
   Mailbox& mb = mailboxes_[dst];
   std::unique_lock<std::mutex> lock(mb.mutex);
@@ -62,7 +53,7 @@ std::pair<HostId, std::vector<std::uint8_t>> Network::recvAny(HostId dst, int ta
     if (it != mb.messages.end()) {
       std::pair<HostId, std::vector<std::uint8_t>> out{it->src, std::move(it->payload)};
       mb.messages.erase(it);
-      stats_[dst].recordReceive(phase, out.second.size() + kHeaderBytes);
+      stats_[dst].recordReceive(out.second.size() + kHeaderBytes);
       return out;
     }
     mb.cv.wait(lock);
@@ -119,22 +110,6 @@ void Network::abort() noexcept {
     std::lock_guard<std::mutex> lock(barrierMutex_);
     barrierCv_.notify_all();
   }
-}
-
-std::uint64_t Network::totalBytesSent() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& s : stats_) total += s.bytesSent();
-  return total;
-}
-
-std::uint64_t Network::totalMessagesSent() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& s : stats_) total += s.messagesSent();
-  return total;
-}
-
-void Network::resetStats() noexcept {
-  for (auto& s : stats_) s.reset();
 }
 
 }  // namespace gw2v::sim

@@ -42,19 +42,16 @@ class Network {
   /// src, dst, tag, size), mirroring a real transport's framing cost.
   static constexpr std::uint64_t kHeaderBytes = 16;
 
-  void send(HostId src, HostId dst, int tag, std::vector<std::uint8_t> payload,
-            CommPhase phase = CommPhase::kOther);
+  void send(HostId src, HostId dst, int tag, std::vector<std::uint8_t> payload);
 
   /// Blocking receive matching (src, tag) at host `dst`. The message counts
   /// toward `dst`'s received bytes here, when it is drained on the receiving
   /// thread, so a per-round stats window sees exactly what that round took.
-  std::vector<std::uint8_t> recv(HostId dst, HostId src, int tag,
-                                 CommPhase phase = CommPhase::kOther);
+  std::vector<std::uint8_t> recv(HostId dst, HostId src, int tag);
 
   /// Blocking receive matching any source (MPI_ANY_SOURCE); returns the
   /// sender. Used by the parameter-server baseline's asynchronous pushes.
-  std::pair<HostId, std::vector<std::uint8_t>> recvAny(HostId dst, int tag,
-                                                       CommPhase phase = CommPhase::kOther);
+  std::pair<HostId, std::vector<std::uint8_t>> recvAny(HostId dst, int tag);
 
   /// Global barrier across all hosts.
   void barrier(HostId host);
@@ -75,11 +72,6 @@ class Network {
 
   CommStats& statsFor(HostId host) noexcept { return stats_[host]; }
   const CommStats& statsFor(HostId host) const noexcept { return stats_[host]; }
-
-  /// Cluster-wide totals.
-  std::uint64_t totalBytesSent() const noexcept;
-  std::uint64_t totalMessagesSent() const noexcept;
-  void resetStats() noexcept;
 
  private:
   struct Message {

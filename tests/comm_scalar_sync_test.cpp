@@ -21,8 +21,7 @@ struct ScalarRun {
 
 /// Each host applies update(host, values, touched) once, then syncs once.
 template <typename UpdateFn>
-ScalarRun runOnce(unsigned hosts, std::uint32_t nodes, float init, ScalarReduceOp op,
-                  UpdateFn update) {
+ScalarRun runOnce(unsigned hosts, std::uint32_t nodes, float init, UpdateFn update) {
   ScalarRun out;
   out.replicas.assign(hosts, std::vector<float>(nodes, init));
   out.changed.assign(hosts, 0);
@@ -31,7 +30,7 @@ ScalarRun runOnce(unsigned hosts, std::uint32_t nodes, float init, ScalarReduceO
   copts.numHosts = hosts;
   out.report = sim::runCluster(copts, [&](sim::HostContext& ctx) {
     util::BitVector touched(nodes);
-    ScalarSyncEngine engine(ctx, out.replicas[ctx.id()], touched, partition, op);
+    ScalarSyncEngine engine(ctx, out.replicas[ctx.id()], touched, partition);
     update(ctx.id(), out.replicas[ctx.id()], touched);
     out.changed[ctx.id()] = engine.sync();
   });
@@ -39,7 +38,7 @@ ScalarRun runOnce(unsigned hosts, std::uint32_t nodes, float init, ScalarReduceO
 }
 
 TEST(ScalarSync, MinFoldsAcrossHosts) {
-  auto run = runOnce(4, 8, kInf, ScalarReduceOp::kMin,
+  auto run = runOnce(4, 8, kInf,
                      [](unsigned h, std::vector<float>& v, util::BitVector& t) {
                        v[3] = static_cast<float>(10 - h);  // host 3 offers 7
                        t.set(3);
@@ -49,17 +48,8 @@ TEST(ScalarSync, MinFoldsAcrossHosts) {
   }
 }
 
-TEST(ScalarSync, MaxFoldsAcrossHosts) {
-  auto run = runOnce(3, 4, 0.0f, ScalarReduceOp::kMax,
-                     [](unsigned h, std::vector<float>& v, util::BitVector& t) {
-                       v[1] = static_cast<float>(h + 1);
-                       t.set(1);
-                     });
-  for (unsigned h = 0; h < 3; ++h) EXPECT_FLOAT_EQ(run.replicas[h][1], 3.0f);
-}
-
 TEST(ScalarSync, UntouchedNodesUnchanged) {
-  auto run = runOnce(4, 8, 5.0f, ScalarReduceOp::kMin,
+  auto run = runOnce(4, 8, 5.0f,
                      [](unsigned, std::vector<float>& v, util::BitVector& t) {
                        v[0] = 1.0f;
                        t.set(0);
@@ -70,7 +60,7 @@ TEST(ScalarSync, UntouchedNodesUnchanged) {
 }
 
 TEST(ScalarSync, SingleHostNoTrafficNoChange) {
-  auto run = runOnce(1, 4, kInf, ScalarReduceOp::kMin,
+  auto run = runOnce(1, 4, kInf,
                      [](unsigned, std::vector<float>& v, util::BitVector& t) {
                        v[2] = 1.0f;
                        t.set(2);
@@ -83,7 +73,7 @@ TEST(ScalarSync, SingleHostNoTrafficNoChange) {
 TEST(ScalarSync, ChangedCountsReceivedImprovements) {
   // Host 0 improves node 7 (owned by the last host); all other hosts should
   // count one received change, the owner counts one fold.
-  auto run = runOnce(4, 8, kInf, ScalarReduceOp::kMin,
+  auto run = runOnce(4, 8, kInf,
                      [](unsigned h, std::vector<float>& v, util::BitVector& t) {
                        if (h == 0) {
                          v[7] = 2.0f;
@@ -103,7 +93,7 @@ TEST(ScalarSync, ChangedCountsReceivedImprovements) {
 }
 
 TEST(ScalarSync, QuiescentSyncReturnsZero) {
-  auto run = runOnce(4, 8, 1.0f, ScalarReduceOp::kMin,
+  auto run = runOnce(4, 8, 1.0f,
                      [](unsigned, std::vector<float>&, util::BitVector&) {});
   for (unsigned h = 0; h < 4; ++h) EXPECT_EQ(run.changed[h], 0u);
 }
@@ -117,8 +107,7 @@ TEST(ScalarSync, WorseValuesDoNotOverwrite) {
   copts.numHosts = 2;
   sim::runCluster(copts, [&](sim::HostContext& ctx) {
     util::BitVector touched(4);
-    ScalarSyncEngine engine(ctx, replicas[ctx.id()], touched, partition,
-                            ScalarReduceOp::kMin);
+    ScalarSyncEngine engine(ctx, replicas[ctx.id()], touched, partition);
     if (ctx.id() == 1) {
       replicas[1][0] = 3.0f;  // worse than master's 1.0
       touched.set(0);
@@ -143,8 +132,7 @@ TEST(ScalarSync, MultipleRoundsConverge) {
   copts.numHosts = kHosts;
   sim::runCluster(copts, [&](sim::HostContext& ctx) {
     util::BitVector touched(3);
-    ScalarSyncEngine engine(ctx, replicas[ctx.id()], touched, partition,
-                            ScalarReduceOp::kMin);
+    ScalarSyncEngine engine(ctx, replicas[ctx.id()], touched, partition);
     for (unsigned round = 0; round < kHosts; ++round) {
       if (ctx.id() == round) {
         replicas[ctx.id()][0] = 50.0f - static_cast<float>(round) * 10.0f;

@@ -142,12 +142,12 @@ void runRowExchange(SyncCodec codec, Stage stage, const Bytes& crafted,
     std::vector<Bytes> toPeer(2), from(2);
     if (strategy == SyncStrategy::kPullModel) {
       toPeer[0] = stage == Stage::kWants ? crafted : wantList({});
-      coll.allToAllv(toPeer, from, sim::CommPhase::kControl);
+      coll.allToAllv(toPeer, from);
     }
     toPeer[0] = stage == Stage::kReduce ? crafted : rowPayload(codec, {{}, {}});
-    coll.allToAllv(toPeer, from, sim::CommPhase::kReduce);
+    coll.allToAllv(toPeer, from);
     toPeer[0] = stage == Stage::kBroadcast ? crafted : rowPayload(codec, {{}, {}});
-    coll.allToAllv(toPeer, from, sim::CommPhase::kBroadcast);
+    coll.allToAllv(toPeer, from);
     coll.barrier();
   });
 }
@@ -241,7 +241,7 @@ void runScalarExchange(bool broadcast, const Bytes& crafted, std::vector<float>&
   runTwoHosts([&](sim::HostContext& ctx) {
     if (ctx.id() == 0) {
       util::BitVector touched(kNodes);
-      ScalarSyncEngine engine(ctx, values0, touched, partition, ScalarReduceOp::kMin);
+      ScalarSyncEngine engine(ctx, values0, touched, partition);
       engine.sync();
       return;
     }
@@ -249,8 +249,8 @@ void runScalarExchange(bool broadcast, const Bytes& crafted, std::vector<float>&
     Collectives coll(transport, ctx.id(), TagSpace::kScalarSync);
     std::vector<Bytes> toPeer(2), from(2);
     toPeer[0] = broadcast ? scalarPayload({}) : crafted;
-    coll.allToAllv(toPeer, from, sim::CommPhase::kReduce);
-    coll.allGatherv(broadcast ? crafted : scalarPayload({}), sim::CommPhase::kBroadcast);
+    coll.allToAllv(toPeer, from);
+    coll.allGatherv(broadcast ? crafted : scalarPayload({}));
     coll.barrier();
   });
 }

@@ -169,10 +169,10 @@ TEST(NetworkModel, ExchangeCountsSendPlusRecv) {
 
 TEST(CommStats, SnapshotDelta) {
   CommStats s;
-  s.recordSend(CommPhase::kReduce, 100);
+  s.recordSend(100);
   const auto before = snapshot(s);
-  s.recordSend(CommPhase::kBroadcast, 50);
-  s.recordReceive(CommPhase::kReduce, 30);
+  s.recordSend(50);
+  s.recordReceive(30);
   const auto d = delta(before, snapshot(s));
   EXPECT_EQ(d.bytesSent, 50u);
   EXPECT_EQ(d.bytesReceived, 30u);

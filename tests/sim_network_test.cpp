@@ -89,14 +89,11 @@ TEST(Network, EmptyPayloadAllowed) {
 
 TEST(Network, StatsCountHeaderAndPayload) {
   Network net(2);
-  net.send(0, 1, 1, bytes({1, 2, 3, 4}), CommPhase::kReduce);
+  net.send(0, 1, 1, bytes({1, 2, 3, 4}));
   EXPECT_EQ(net.statsFor(0).bytesSent(), 4 + Network::kHeaderBytes);
   EXPECT_EQ(net.statsFor(0).messagesSent(), 1u);
-  (void)net.recv(1, 0, 1, CommPhase::kReduce);
+  (void)net.recv(1, 0, 1);
   EXPECT_EQ(net.statsFor(1).bytesReceived(), 4 + Network::kHeaderBytes);
-  EXPECT_EQ(net.statsFor(0).bytesSent(CommPhase::kReduce), 4 + Network::kHeaderBytes);
-  EXPECT_EQ(net.statsFor(0).bytesSent(CommPhase::kBroadcast), 0u);
-  EXPECT_EQ(net.totalBytesSent(), 4 + Network::kHeaderBytes);
 }
 
 // A message counts as received when the receiver drains it, on the
@@ -124,14 +121,6 @@ TEST(Network, RecvAnyCountsWhenDrained) {
   EXPECT_EQ(net.statsFor(0).bytesReceived(), 0u);
   (void)net.recvAny(0, 9);
   EXPECT_EQ(net.statsFor(0).bytesReceived(), 3 + Network::kHeaderBytes);
-}
-
-TEST(Network, ResetStatsZeroes) {
-  Network net(2);
-  net.send(0, 1, 1, bytes({1}));
-  net.resetStats();
-  EXPECT_EQ(net.totalBytesSent(), 0u);
-  EXPECT_EQ(net.totalMessagesSent(), 0u);
 }
 
 TEST(Network, BarrierSynchronizesHosts) {
