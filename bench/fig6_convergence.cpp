@@ -76,7 +76,7 @@ int main() {
     smOpts.trackLoss = false;
     std::vector<double> curve;
     baselines::trainHogwild(data.vocab, data.corpus, smOpts,
-                            [&](const baselines::SmEpochStats&, const graph::ModelGraph& m) {
+                            [&](const core::EpochStats&, const graph::ModelGraph& m) {
                               curve.push_back(bench::accuracyOf(task, m, data.vocab));
                             });
     report(rows, "SM", 0.025f, curve);

@@ -22,7 +22,7 @@ namespace gw2v::baselines {
 SharedMemoryResult trainHogwild(const text::Vocabulary& vocab,
                                 std::span<const text::WordId> corpus,
                                 const SharedMemoryOptions& opts,
-                                const SmEpochObserver& observer) {
+                                const core::EpochObserver& observer) {
   const text::SubsampleFilter subsampler(vocab.counts(), opts.sgns.subsample);
   const text::NegativeSampler negSampler(vocab.counts());
   const util::SigmoidTable sigmoid;
@@ -88,12 +88,13 @@ SharedMemoryResult trainHogwild(const text::Vocabulary& vocab,
       cpuSeconds.local(t) += cpu.seconds();
     });
 
-    SmEpochStats st;
+    core::EpochStats st;
     st.epoch = epoch + 1;
     st.examples = exampleAcc.reduce(std::uint64_t{0},
                                     [](std::uint64_t a, std::uint64_t b) { return a + b; });
     const double loss = lossAcc.reduce(0.0, [](double a, double b) { return a + b; });
     st.avgLoss = st.examples > 0 ? loss / static_cast<double>(st.examples) : 0.0;
+    st.alphaEnd = core::decayedAlpha(opts.sgns.alpha, epoch + 1, opts.epochs);
     result.epochs.push_back(st);
     result.totalExamples += st.examples;
     if (observer) observer(st, result.model);
@@ -107,7 +108,8 @@ SharedMemoryResult trainHogwild(const text::Vocabulary& vocab,
 
 SharedMemoryResult trainBatched(const text::Vocabulary& vocab,
                                 std::span<const text::WordId> corpus,
-                                const BatchedOptions& opts, const SmEpochObserver& observer) {
+                                const BatchedOptions& opts,
+                                const core::EpochObserver& observer) {
   const text::SubsampleFilter subsampler(vocab.counts(), opts.sgns.subsample);
   const text::NegativeSampler negSampler(vocab.counts());
   const util::SigmoidTable sigmoid;
@@ -196,10 +198,11 @@ SharedMemoryResult trainBatched(const text::Vocabulary& vocab,
         });
     flushBatch();
 
-    SmEpochStats st;
+    core::EpochStats st;
     st.epoch = epoch + 1;
     st.examples = examples;
     st.avgLoss = examples > 0 ? loss / static_cast<double>(examples) : 0.0;
+    st.alphaEnd = core::decayedAlpha(opts.sgns.alpha, epoch + 1, opts.epochs);
     result.epochs.push_back(st);
     result.totalExamples += examples;
     if (observer) observer(st, result.model);

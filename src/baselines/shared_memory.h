@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/sgns.h"
+#include "core/trainer.h"
 #include "graph/model_graph.h"
 #include "text/vocabulary.h"
 
@@ -34,15 +35,9 @@ struct SharedMemoryOptions {
   bool trackLoss = true;
 };
 
-struct SmEpochStats {
-  unsigned epoch = 0;
-  double avgLoss = 0.0;
-  std::uint64_t examples = 0;
-};
-
 struct SharedMemoryResult {
   graph::ModelGraph model;
-  std::vector<SmEpochStats> epochs;
+  std::vector<core::EpochStats> epochs;
   /// CPU busy time summed over worker threads (the 1-host "computation
   /// time" comparable with the cluster's per-host compute seconds).
   double cpuSeconds = 0.0;
@@ -50,14 +45,11 @@ struct SharedMemoryResult {
   std::uint64_t totalExamples = 0;
 };
 
-using SmEpochObserver =
-    std::function<void(const SmEpochStats&, const graph::ModelGraph&)>;
-
 /// Hogwild trainer; threads == 1 gives the exact sequential W2V baseline.
 SharedMemoryResult trainHogwild(const text::Vocabulary& vocab,
                                 std::span<const text::WordId> corpus,
                                 const SharedMemoryOptions& opts,
-                                const SmEpochObserver& observer = nullptr);
+                                const core::EpochObserver& observer = nullptr);
 
 struct BatchedOptions {
   core::SgnsParams sgns;
@@ -72,6 +64,6 @@ struct BatchedOptions {
 SharedMemoryResult trainBatched(const text::Vocabulary& vocab,
                                 std::span<const text::WordId> corpus,
                                 const BatchedOptions& opts,
-                                const SmEpochObserver& observer = nullptr);
+                                const core::EpochObserver& observer = nullptr);
 
 }  // namespace gw2v::baselines

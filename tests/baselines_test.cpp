@@ -71,9 +71,10 @@ TEST(Hogwild, ObserverCalledPerEpoch) {
   const auto corpus = randomCorpus(10, 500, 4);
   unsigned calls = 0;
   trainHogwild(vocab, corpus, smOpts(),
-               [&](const SmEpochStats& st, const graph::ModelGraph&) {
+               [&](const core::EpochStats& st, const graph::ModelGraph&) {
                  ++calls;
                  EXPECT_EQ(st.epoch, calls);
+                 EXPECT_EQ(st.alphaEnd, core::decayedAlpha(smOpts().sgns.alpha, calls, 3));
                });
   EXPECT_EQ(calls, 3u);
 }
