@@ -57,7 +57,9 @@ TEST_P(BlockedSweep, ConsistentAndBalanced) {
     maxC = std::max(maxC, counts[h]);
     EXPECT_EQ(counts[h], p.mastersOf(h));
   }
-  if (nodes >= hosts) EXPECT_LE(maxC - minC, 1u);
+  if (nodes >= hosts) {
+    EXPECT_LE(maxC - minC, 1u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

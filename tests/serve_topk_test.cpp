@@ -104,7 +104,9 @@ TEST(ServeTopK, TiesBreakTowardLowerWordId) {
   ASSERT_EQ(single.size(), 12u);
   for (std::size_t i = 1; i < single.size(); ++i) {
     ASSERT_FALSE(better(single[i], single[i - 1]));
-    if (single[i].score == single[i - 1].score) EXPECT_LT(single[i - 1].id, single[i].id);
+    if (single[i].score == single[i - 1].score) {
+      EXPECT_LT(single[i - 1].id, single[i].id);
+    }
   }
   for (const unsigned numHosts : {2u, 3u, 5u, 8u}) {
     const auto sharded = shardedTopK(snap, numHosts, tq);
