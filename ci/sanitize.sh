@@ -37,10 +37,14 @@ if [[ "$SANITIZE" == *thread* ]]; then
   # PS with one thread per rank), and the per-pair kernel oracle
   # (KernelOracle.*: sgnsStep/hsStep/cbowStep against their unfused loops
   # at every SIMD tier, single-threaded), and the receive-window test and
-  # the modelled-comm golden (Network.ReceiveCountsInTheDrainingWindow,
-  # ModelledCommGolden.*: one thread per host; a message's receive is
-  # credited by the receiving thread when it drains it, and each host's
-  # charges are added on its own thread) — must be race-free.
+  # the modelled-comm and traffic golden
+  # (Network.ReceiveCountsInTheDrainingWindow, ModelledCommGolden.*: one
+  # thread per host; a message's receive is credited by the receiving
+  # thread when it drains it, and each host's charges are added on its own
+  # thread), and the serve round decoder (ServeMalformed.* /
+  # ServeMalformedControl.*: a hand-built rank 0 and a real worker on
+  # separate host threads; a rejected round aborts the fabric under the
+  # coordinator's blocked gather) — must be race-free.
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" -E 'Hogwild'
 else
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
