@@ -76,7 +76,7 @@ void Collectives::allReduceSum(std::span<double> values, CollectiveAlgo algo) {
     ringAllReduceSum(values);
     return;
   }
-  treeReduceSum(values, 0);
+  treeReduceSum(values);
   const std::vector<std::uint8_t> root =
       broadcast(me_ == 0 ? bytesOf(values) : std::vector<std::uint8_t>{}, 0);
   if (me_ != 0) {
@@ -110,29 +110,27 @@ void Collectives::ringAllReduceSum(std::span<double> v) {
   recordRounds(2 * (H - 1));
 }
 
-// Binomial trees rooted at `root` use the standard MPICH rank relabelling
-// vr = (me − root) mod H. Reduce: a rank folds its children (vr + mask for
-// each low zero bit) and then sends to its parent at its lowest set bit.
-void Collectives::treeReduceSum(std::span<double> v, RankId root) {
+// Binomial tree to rank 0: a rank folds its children (me + mask for each low
+// zero bit of me) and then sends to its parent at its lowest set bit.
+void Collectives::treeReduceSum(std::span<double> v) {
   const unsigned H = numRanks_;
   const int tag = nextTag();
-  const unsigned vr = (me_ + H - root) % H;
   for (unsigned mask = 1; mask < H; mask <<= 1) {
-    if ((vr & mask) != 0) {
-      t_.send(me_, (vr - mask + root) % H, tag, bytesOf(v));
+    if ((me_ & mask) != 0) {
+      t_.send(me_, me_ - mask, tag, bytesOf(v));
       break;
     }
-    if (vr + mask < H) {
-      const std::vector<double> in =
-          doublesOf(t_.recv(me_, (vr + mask + root) % H, tag), v.size(), "reduce");
+    if (me_ + mask < H) {
+      const std::vector<double> in = doublesOf(t_.recv(me_, me_ + mask, tag), v.size(), "reduce");
       for (std::size_t i = 0; i < v.size(); ++i) v[i] += in[i];
     }
   }
   recordRounds(ceilLog2(H));
 }
 
-// Broadcast: receive from the parent at the lowest set bit of vr, then
-// forward to the children at the remaining lower bits.
+// Binomial tree rooted at `root`, standard MPICH rank relabelling
+// vr = (me − root) mod H: receive from the parent at the lowest set bit of
+// vr, then forward to the children at the remaining lower bits.
 std::vector<std::uint8_t> Collectives::broadcast(std::vector<std::uint8_t> bytes, RankId root) {
   const unsigned H = numRanks_;
   if (H <= 1) return bytes;

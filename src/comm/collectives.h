@@ -123,7 +123,7 @@ class Collectives {
   }
 
   void ringAllReduceSum(std::span<double> v);
-  void treeReduceSum(std::span<double> v, RankId root);
+  void treeReduceSum(std::span<double> v);
 
   Transport& t_;
   RankId me_;
