@@ -48,7 +48,7 @@ class ByteReader {
   T get() {
     static_assert(std::is_trivially_copyable_v<T>);
     T v;
-    require(sizeof(T));
+    require(1, sizeof(T));
     std::memcpy(&v, bytes_.data() + pos_, sizeof(T));
     pos_ += sizeof(T);
     return v;
@@ -62,7 +62,7 @@ class ByteReader {
   std::span<const T> view(std::size_t n) {
     static_assert(std::is_trivially_copyable_v<T>);
     static_assert(alignof(T) <= alignof(std::max_align_t));
-    if (n > remaining() / sizeof(T)) throw std::runtime_error("ByteReader: truncated message");
+    require(n, sizeof(T));
     const std::uint8_t* raw = bytes_.data() + pos_;
     pos_ += n * sizeof(T);
     if (reinterpret_cast<std::uintptr_t>(raw) % alignof(T) == 0) {
@@ -77,8 +77,10 @@ class ByteReader {
   std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
 
  private:
-  void require(std::size_t n) const {
-    if (n > remaining()) throw std::runtime_error("ByteReader: truncated message");
+  /// Throws unless n elements of `elemBytes` each remain; no overflow for
+  /// any n a peer can send.
+  void require(std::size_t n, std::size_t elemBytes) const {
+    if (n > remaining() / elemBytes) throw std::runtime_error("ByteReader: truncated message");
   }
 
   std::span<const std::uint8_t> bytes_;

@@ -58,6 +58,8 @@ TEST(Serialize, OverreadViewThrows) {
   const auto buf = w.take();
   ByteReader r(buf);
   EXPECT_THROW(r.view<float>(2), std::runtime_error);
+  // A count whose byte size wraps around size_t must not pass the check.
+  EXPECT_THROW(r.view<std::uint64_t>(SIZE_MAX / 8 + 1), std::runtime_error);
 }
 
 TEST(Serialize, RemainingTracksPosition) {
