@@ -80,17 +80,15 @@ TEST(Collectives, BroadcastFromEveryRoot) {
     for (unsigned root = 0; root < H; ++root) {
       // The root's payload size varies with the root; every other rank
       // passes a stale buffer of another size, which the broadcast replaces.
+      // Non-roots pass a stale buffer; the root's size and bytes replace it.
       const std::vector<std::uint8_t> sent(root * 7 + 1, static_cast<std::uint8_t>(root + 1));
+      const std::vector<std::uint8_t> stale(3, 0xee);
+      const std::vector<std::uint8_t> empty;
       runRanks(H, [&](RankId me, Collectives& coll) {
-        const std::vector<std::uint8_t> got =
-            coll.broadcast(me == root ? sent : std::vector<std::uint8_t>(3, 0xee), root);
-        ASSERT_EQ(got, sent) << "root=" << root << " me=" << me;
-        // An empty payload arrives empty.
-        ASSERT_TRUE(coll.broadcast(me == root ? std::vector<std::uint8_t>{}
-                                              : std::vector<std::uint8_t>{1},
-                                   root)
-                        .empty())
+        EXPECT_EQ(coll.broadcast(me == root ? sent : stale, root), sent)
             << "root=" << root << " me=" << me;
+        EXPECT_EQ(coll.broadcast(me == root ? empty : stale, root), empty)
+            << "empty payload, root=" << root << " me=" << me;
       });
     }
   }
