@@ -121,7 +121,8 @@ void Collectives::treeReduceSum(std::span<double> v) {
       break;
     }
     if (me_ + mask < H) {
-      const std::vector<double> in = doublesOf(t_.recv(me_, me_ + mask, tag), v.size(), "reduce");
+      const std::vector<double> in =
+          doublesOf(t_.recv(me_, me_ + mask, tag), v.size(), "reduce");
       for (std::size_t i = 0; i < v.size(); ++i) v[i] += in[i];
     }
   }

@@ -32,7 +32,9 @@ class CommStats {
     collectiveRounds_.fetch_add(rounds, std::memory_order_relaxed);
   }
 
-  std::uint64_t bytesSent() const noexcept { return bytesSent_.load(std::memory_order_relaxed); }
+  std::uint64_t bytesSent() const noexcept {
+    return bytesSent_.load(std::memory_order_relaxed);
+  }
   std::uint64_t bytesReceived() const noexcept {
     return bytesReceived_.load(std::memory_order_relaxed);
   }

@@ -38,33 +38,30 @@ ScalarRun runOnce(unsigned hosts, std::uint32_t nodes, float init, UpdateFn upda
 }
 
 TEST(ScalarSync, MinFoldsAcrossHosts) {
-  auto run = runOnce(4, 8, kInf,
-                     [](unsigned h, std::vector<float>& v, util::BitVector& t) {
-                       v[3] = static_cast<float>(10 - h);  // host 3 offers 7
-                       t.set(3);
-                     });
+  auto run = runOnce(4, 8, kInf, [](unsigned h, std::vector<float>& v, util::BitVector& t) {
+    v[3] = static_cast<float>(10 - h);  // host 3 offers 7
+    t.set(3);
+  });
   for (unsigned h = 0; h < 4; ++h) {
     EXPECT_FLOAT_EQ(run.replicas[h][3], 7.0f) << "host " << h;
   }
 }
 
 TEST(ScalarSync, UntouchedNodesUnchanged) {
-  auto run = runOnce(4, 8, 5.0f,
-                     [](unsigned, std::vector<float>& v, util::BitVector& t) {
-                       v[0] = 1.0f;
-                       t.set(0);
-                     });
+  auto run = runOnce(4, 8, 5.0f, [](unsigned, std::vector<float>& v, util::BitVector& t) {
+    v[0] = 1.0f;
+    t.set(0);
+  });
   for (unsigned h = 0; h < 4; ++h) {
     for (std::uint32_t n = 1; n < 8; ++n) EXPECT_FLOAT_EQ(run.replicas[h][n], 5.0f);
   }
 }
 
 TEST(ScalarSync, SingleHostNoTrafficNoChange) {
-  auto run = runOnce(1, 4, kInf,
-                     [](unsigned, std::vector<float>& v, util::BitVector& t) {
-                       v[2] = 1.0f;
-                       t.set(2);
-                     });
+  auto run = runOnce(1, 4, kInf, [](unsigned, std::vector<float>& v, util::BitVector& t) {
+    v[2] = 1.0f;
+    t.set(2);
+  });
   EXPECT_EQ(run.report.totalBytes(), 0u);
   EXPECT_EQ(run.changed[0], 0u);
   EXPECT_FLOAT_EQ(run.replicas[0][2], 1.0f);
@@ -73,13 +70,12 @@ TEST(ScalarSync, SingleHostNoTrafficNoChange) {
 TEST(ScalarSync, ChangedCountsReceivedImprovements) {
   // Host 0 improves node 7 (owned by the last host); all other hosts should
   // count one received change, the owner counts one fold.
-  auto run = runOnce(4, 8, kInf,
-                     [](unsigned h, std::vector<float>& v, util::BitVector& t) {
-                       if (h == 0) {
-                         v[7] = 2.0f;
-                         t.set(7);
-                       }
-                     });
+  auto run = runOnce(4, 8, kInf, [](unsigned h, std::vector<float>& v, util::BitVector& t) {
+    if (h == 0) {
+      v[7] = 2.0f;
+      t.set(7);
+    }
+  });
   graph::BlockedPartition partition(8, 4);
   const unsigned owner = partition.masterOf(7);
   for (unsigned h = 0; h < 4; ++h) {
@@ -93,8 +89,7 @@ TEST(ScalarSync, ChangedCountsReceivedImprovements) {
 }
 
 TEST(ScalarSync, QuiescentSyncReturnsZero) {
-  auto run = runOnce(4, 8, 1.0f,
-                     [](unsigned, std::vector<float>&, util::BitVector&) {});
+  auto run = runOnce(4, 8, 1.0f, [](unsigned, std::vector<float>&, util::BitVector&) {});
   for (unsigned h = 0; h < 4; ++h) EXPECT_EQ(run.changed[h], 0u);
 }
 

@@ -77,8 +77,9 @@ std::vector<std::string> perHost(const sim::ClusterReport& report) {
 std::vector<std::string> perHostTraffic(const sim::ClusterReport& report) {
   std::vector<std::string> out;
   for (const auto& h : report.hosts) {
-    out.push_back(std::to_string(h.comm.bytesSent) + ',' + std::to_string(h.comm.bytesReceived) +
-                  ',' + std::to_string(h.comm.messagesSent) + ',' +
+    out.push_back(std::to_string(h.comm.bytesSent) + ',' +
+                  std::to_string(h.comm.bytesReceived) + ',' +
+                  std::to_string(h.comm.messagesSent) + ',' +
                   std::to_string(h.comm.collectiveRounds));
   }
   return out;
