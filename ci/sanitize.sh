@@ -41,10 +41,15 @@ if [[ "$SANITIZE" == *thread* ]]; then
   # (Network.ReceiveCountsInTheDrainingWindow, ModelledCommGolden.*: one
   # thread per host; a message's receive is credited by the receiving
   # thread when it drains it, and each host's charges are added on its own
-  # thread), and the serve round decoder (ServeMalformed.* /
+  # thread), and the serve decoders (ServeMalformed.* /
   # ServeMalformedControl.*: a hand-built rank 0 and a real worker on
-  # separate host threads; a rejected round aborts the fabric under the
-  # coordinator's blocked gather) — must be race-free.
+  # separate host threads, a rejected round aborting the fabric under the
+  # blocked gather; ServeMalformedReply.* / ServeMalformedReplyControl.*: a
+  # real rank-0 front-end whose client thread leads the round against a
+  # hand-built rank 1), and the serve round leader (ServeQueryEngine.*:
+  # client threads hand the lead of each round to one another under the
+  # queue mutex while the rank-0 host thread waits in run(), including the
+  # concurrent-client, shutdown and worker-death cases) — must be race-free.
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" -E 'Hogwild'
 else
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
@@ -55,6 +60,12 @@ fi
 # hazard-pointer reclamation surface as heap-use-after-free (ASan) or
 # races on the hazard slots (TSan).
 GW2V_HOTSWAP_ITERS=2000 ctest --test-dir "$BUILD_DIR" -R 'Serve' --output-on-failure
+
+# Stress the serve round leader the same way: a lost wake-up or a race in
+# handing the lead of a round from one client thread to the next surfaces
+# as a hang, a wrong answer or a sanitizer report within a few repeats.
+ctest --test-dir "$BUILD_DIR" -R 'ServeQueryEngine|ServeMalformed' --output-on-failure \
+  --repeat until-fail:20
 
 # Out-of-core spill files (src/store/) are scratch state: the store tests
 # write *.blocks under the gtest temp dir and clean up after themselves, but

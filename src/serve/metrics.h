@@ -5,7 +5,7 @@
 // plus the counters the load generator reports — QPS is derived by the
 // caller from queries()/wall-time, batch occupancy and cache hit-rate fall
 // out of the counters below. Everything is atomic so client threads record
-// concurrently with the dispatcher.
+// concurrently with the client thread that leads the current round.
 
 #include <atomic>
 #include <bit>
@@ -86,9 +86,9 @@ struct ServeMetrics {
   std::atomic<std::uint64_t> snapshotSwaps{0};  // repins observed by this rank
 
   // Per-stage scoring wall time on this rank's shard (brute-force scan vs
-  // the ANN centroid-scan/candidate-scoring split vs the coordinator's
-  // merge) plus the ANN work counters — what the loadgen's scoring-speedup
-  // and candidate-ratio columns are computed from.
+  // the ANN centroid-scan/candidate-scoring split vs rank 0's merge) plus
+  // the ANN work counters — what the loadgen's scoring-speedup and
+  // candidate-ratio columns are computed from.
   std::atomic<std::uint64_t> exactScanMicros{0};   // brute-force shard scans
   std::atomic<std::uint64_t> exactScanQueries{0};  // queries scored brute force
   std::atomic<std::uint64_t> annCentroidMicros{0};  // centroid scan + probe pick
@@ -98,7 +98,7 @@ struct ServeMetrics {
   std::atomic<std::uint64_t> annCandidates{0};      // rows exactly scored via ANN
   std::atomic<std::uint64_t> annRowsTotal{0};       // shard rows per ANN query (denominator)
   std::atomic<std::uint64_t> annFallbacks{0};       // kAnn requests served brute force
-  std::atomic<std::uint64_t> mergeMicros{0};        // coordinator partial-list merges
+  std::atomic<std::uint64_t> mergeMicros{0};        // rank 0's merges and answer writes
 
   /// Fraction of shard rows an average ANN query actually scored (candidate
   /// scan + centroid scan, the two per-query costs) — the pruning factor.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <functional>
 #include <stdexcept>
 
@@ -31,14 +32,32 @@ std::vector<std::uint8_t> serializeParts(const std::vector<std::vector<Candidate
   return w.take();
 }
 
+bool allFinite(std::span<const float> v) noexcept {
+  return std::all_of(v.begin(), v.end(), [](float f) { return std::isfinite(f); });
+}
+
+/// Decodes one rank's reply to `queries` and checks each list before the
+/// merge relies on it: at most its query's k entries, finite scores,
+/// strictly descending under `better` (no repeats). Ids are not
+/// range-checked: during a round that straddles a publish a worker may serve
+/// another vocabulary size.
 std::vector<std::vector<Candidate>> parseParts(std::span<const std::uint8_t> bytes,
-                                               std::size_t numQueries) {
+                                               std::span<const TopKQuery> queries) {
   comm::ByteReader r(bytes);
-  std::vector<std::vector<Candidate>> parts(numQueries);
-  for (std::size_t q = 0; q < numQueries; ++q) {
+  std::vector<std::vector<Candidate>> parts(queries.size());
+  for (std::size_t q = 0; q < queries.size(); ++q) {
     const std::uint32_t n = r.get<std::uint32_t>();
+    if (n > queries[q].k) throw std::runtime_error("QueryEngine: partial top-k longer than k");
     const auto v = r.view<Candidate>(n);
     parts[q].assign(v.begin(), v.end());
+    if (!std::all_of(parts[q].begin(), parts[q].end(),
+                     [](const Candidate& c) { return std::isfinite(c.score); }))
+      throw std::runtime_error("QueryEngine: non-finite score in partial top-k");
+    if (std::adjacent_find(parts[q].begin(), parts[q].end(),
+                           [](const Candidate& a, const Candidate& b) {
+                             return !better(a, b);
+                           }) != parts[q].end())
+      throw std::runtime_error("QueryEngine: partial top-k is not strictly descending");
   }
   if (!r.done()) throw std::runtime_error("QueryEngine: trailing bytes in partial top-k");
   return parts;
@@ -52,13 +71,15 @@ struct Round {
 
 /// Decodes a round message: u32 count, u32 dim, count×dim floats, then per
 /// query u32 k, u32 mode, u32 nprobe, u32 exclude length and the ids. Every
-/// value is checked before use; a malformed round throws.
+/// value is checked before use (query values must be finite: the top-k order
+/// is a strict weak order only over finite scores); a malformed round throws.
 Round decodeRound(comm::ByteReader& rd, std::uint32_t snapshotDim) {
   const auto count = rd.get<std::uint32_t>();
   const auto dim = rd.get<std::uint32_t>();
   if (dim != snapshotDim)
     throw std::runtime_error("QueryEngine: round dim does not match the local snapshot");
   const auto matrix = rd.view<float>(static_cast<std::size_t>(count) * dim);
+  if (!allFinite(matrix)) throw std::runtime_error("QueryEngine: non-finite query value");
   Round round;
   for (std::uint32_t q = 0; q < count; ++q) {
     TopKQuery tq;
@@ -98,15 +119,24 @@ QueryEngine::QueryEngine(comm::Transport& transport, comm::RankId me,
 }
 
 void QueryEngine::run() {
-  if (me_ == 0) {
-    runCoordinator();
-  } else {
+  if (me_ != 0) {
     runWorker();
+    return;
   }
+  if (!store_.current()) throw std::runtime_error("QueryEngine::run: no snapshot published");
+  std::unique_lock<std::mutex> lock(queueMu_);
+  doneCv_.wait(lock, [&] { return failure_ || (stopping_ && queue_.empty() && !inFlight_); });
+  if (failure_) std::rethrow_exception(failure_);
+  inFlight_ = true;  // for good: no round may follow the stop round
+  lock.unlock();
+  pin_.release();
+  coll_.broadcast({}, 0);  // the empty round: stop
 }
 
 QueryResult QueryEngine::query(std::vector<float> vec, unsigned k,
                                std::vector<text::WordId> exclude, QueryOptions qopts) {
+  if (!allFinite(vec))
+    throw std::invalid_argument("QueryEngine: query vector has a non-finite element");
   Request req;
   req.vec = normalizedCopy(vec);
   req.k = k;
@@ -148,14 +178,23 @@ QueryResult QueryEngine::submit(Request req) {
     metrics_.cacheMisses.fetch_add(1, std::memory_order_relaxed);
   }
 
-  auto future = req.promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(queueMu_);
-    if (stopping_) throw std::runtime_error("QueryEngine: shutting down");
-    queue_.push_back(std::move(req));
+  Pending mine;
+  mine.req = std::move(req);
+  std::unique_lock<std::mutex> lock(queueMu_);
+  if (failure_) std::rethrow_exception(failure_);
+  if (stopping_) throw std::runtime_error("QueryEngine: shutting down");
+  queue_.push_back(&mine);
+  arrivalCv_.notify_one();
+  while (!mine.done) {
+    if (!inFlight_) {
+      leadRound(lock);
+      continue;
+    }
+    doneCv_.wait(lock, [&] { return mine.done || !inFlight_; });
   }
-  queueCv_.notify_all();
-  return future.get();
+  lock.unlock();
+  if (mine.error) std::rethrow_exception(mine.error);
+  return std::move(mine.result);
 }
 
 void QueryEngine::shutdown() {
@@ -163,142 +202,151 @@ void QueryEngine::shutdown() {
     std::lock_guard<std::mutex> lock(queueMu_);
     stopping_ = true;
   }
-  queueCv_.notify_all();
+  arrivalCv_.notify_all();
+  doneCv_.notify_all();
 }
 
-std::vector<QueryEngine::Request> QueryEngine::nextBatch() {
-  std::unique_lock<std::mutex> lock(queueMu_);
-  queueCv_.wait(lock, [&] { return !queue_.empty() || stopping_; });
-  if (queue_.empty()) return {};  // stopping and drained
-
-  std::vector<Request> batch;
-  batch.reserve(opts_.maxBatch);
-  const auto deadline =
-      Clock::now() + std::chrono::microseconds(opts_.batchWindowMicros);
-  for (;;) {
-    while (!queue_.empty() && batch.size() < opts_.maxBatch) {
-      batch.push_back(std::move(queue_.front()));
-      queue_.pop_front();
+void QueryEngine::leadRound(std::unique_lock<std::mutex>& lock) {
+  inFlight_ = true;
+  std::exception_ptr failure;
+  try {
+    if (opts_.batchWindowMicros > 0) {
+      arrivalCv_.wait_for(lock, std::chrono::microseconds(opts_.batchWindowMicros),
+                          [&] { return queue_.size() >= opts_.maxBatch || stopping_; });
     }
-    if (batch.size() >= opts_.maxBatch || stopping_) break;
-    if (queueCv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-      while (!queue_.empty() && batch.size() < opts_.maxBatch) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      break;
-    }
+    const auto take = static_cast<std::ptrdiff_t>(
+        std::min<std::size_t>(queue_.size(), opts_.maxBatch));
+    batch_.assign(queue_.begin(), queue_.begin() + take);
+    queue_.erase(queue_.begin(), queue_.begin() + take);
+    lock.unlock();
+    serveBatch();
+  } catch (...) {
+    failure = std::current_exception();
   }
-  return batch;
-}
-
-void QueryEngine::refreshPin(SnapshotStore::Pin& pin, ShardedIndex& index) {
-  if (store_.currentVersion() != pin->version()) {
-    pin.release();
-    pin = store_.pin(me_);
-    index = ShardedIndex(*pin, me_, numRanks_);
-    metrics_.snapshotSwaps.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void QueryEngine::runCoordinator() {
-  SnapshotStore::Pin pin = store_.pin(me_);
-  if (!pin) throw std::runtime_error("QueryEngine::run: no snapshot published");
-  ShardedIndex index(*pin, me_, numRanks_);
-
-  for (;;) {
-    std::vector<Request> batch = nextBatch();
-    if (batch.empty()) {
-      coll_.broadcast({}, 0);  // the empty round: stop
-      break;
+  if (!lock.owns_lock()) lock.lock();
+  if (failure) {
+    // No submitter may return while its slot is still queued, so the
+    // failure answers everything waiting, not only this batch.
+    failure_ = failure;
+    for (Pending* p : batch_) p->error = failure;
+    for (Pending* p : queue_) {
+      p->error = failure;
+      p->done = true;
     }
-    refreshPin(pin, index);
-    const EmbeddingSnapshot& snap = *pin;
+    queue_.clear();
+  }
+  for (Pending* p : batch_) p->done = true;
+  batch_.clear();
+  inFlight_ = false;
+  lock.unlock();
+  doneCv_.notify_all();
+  lock.lock();
+}
 
-    // Resolve by-word requests against the pinned snapshot; answer unknown
-    // ids and malformed vectors without spending a collective round.
-    std::vector<Request> live;
-    live.reserve(batch.size());
-    for (auto& r : batch) {
-      if (r.vec.empty() && r.word != text::kInvalidWord) {
-        if (r.word >= snap.vocabSize()) {
-          QueryResult miss;
-          miss.version = snap.version();
-          metrics_.queries.fetch_add(1, std::memory_order_relaxed);
-          metrics_.latency.record(elapsedMicros(r.submitted));
-          r.promise.set_value(std::move(miss));
-          continue;
-        }
-        // normalizedCopy (not a raw row copy) keeps this path bit-identical
-        // to eval::EmbeddingView::nearestTo, which re-normalizes the same row.
-        r.vec = normalizedCopy(snap.row(r.word));
-      }
-      if (r.vec.size() != snap.dim()) {
-        r.promise.set_exception(std::make_exception_ptr(std::invalid_argument(
-            "QueryEngine: query vector has " + std::to_string(r.vec.size()) +
-            " elements, snapshot dim is " + std::to_string(snap.dim()))));
+bool QueryEngine::refreshPin(SnapshotStore::Pin& pin, ShardedIndex& index) {
+  if (pin && store_.currentVersion() == pin->version()) return true;
+  const bool swap = static_cast<bool>(pin);
+  pin.release();
+  pin = store_.pin(me_);
+  if (!pin) return false;
+  index = ShardedIndex(*pin, me_, numRanks_);
+  if (swap) metrics_.snapshotSwaps.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+void QueryEngine::serveBatch() {
+  const auto answer = [this](Pending& p, QueryResult res) {
+    metrics_.queries.fetch_add(1, std::memory_order_relaxed);
+    metrics_.latency.record(elapsedMicros(p.req.submitted));
+    p.result = std::move(res);
+  };
+  if (!refreshPin(pin_, index_)) {
+    for (Pending* p : batch_)
+      p->error = std::make_exception_ptr(std::runtime_error("QueryEngine: no snapshot published"));
+    return;
+  }
+  const EmbeddingSnapshot& snap = *pin_;
+
+  // Resolve by-word requests against the pinned snapshot; answer unknown ids
+  // and malformed vectors without spending a collective round.
+  std::vector<Pending*> live;
+  live.reserve(batch_.size());
+  for (Pending* p : batch_) {
+    Request& r = p->req;
+    if (r.vec.empty() && r.word != text::kInvalidWord) {
+      if (r.word >= snap.vocabSize()) {
+        QueryResult miss;
+        miss.version = snap.version();
+        answer(*p, std::move(miss));
         continue;
       }
-      live.push_back(std::move(r));
+      // normalizedCopy (not a raw row copy) keeps this path bit-identical
+      // to eval::EmbeddingView::nearestTo, which re-normalizes the same row.
+      r.vec = normalizedCopy(snap.row(r.word));
     }
-    if (live.empty()) continue;
-
-    // Pack the round into one message (layout at decodeRound).
-    comm::ByteWriter w;
-    w.put<std::uint32_t>(static_cast<std::uint32_t>(live.size()));
-    w.put<std::uint32_t>(snap.dim());
-    for (const auto& r : live) w.putSpan<float>(r.vec);
-    for (const auto& r : live) {
-      w.put<std::uint32_t>(r.k);
-      w.put<std::uint32_t>(static_cast<std::uint32_t>(r.qopts.mode));
-      w.put<std::uint32_t>(r.qopts.nprobe);
-      w.put<std::uint32_t>(static_cast<std::uint32_t>(r.exclude.size()));
-      w.putSpan<text::WordId>(r.exclude);
+    if (r.vec.size() != snap.dim()) {
+      p->error = std::make_exception_ptr(std::invalid_argument(
+          "QueryEngine: query vector has " + std::to_string(r.vec.size()) +
+          " elements, snapshot dim is " + std::to_string(snap.dim())));
+      continue;
     }
-    coll_.broadcast(w.take(), 0);
-    metrics_.batches.fetch_add(1, std::memory_order_relaxed);
-    metrics_.batchedQueries.fetch_add(live.size(), std::memory_order_relaxed);
-
-    std::vector<TopKQuery> queries;
-    std::vector<QueryOptions> qopts;
-    queries.reserve(live.size());
-    qopts.reserve(live.size());
-    for (const auto& r : live) {
-      queries.push_back({r.vec.data(), r.k, r.exclude});
-      qopts.push_back(r.qopts);
-    }
-    const auto mine = scoreLocal(index, queries, qopts);
-
-    const auto perRank = coll_.gatherv(serializeParts(mine), 0);
-    std::vector<std::vector<std::vector<Candidate>>> parts(numRanks_);
-    for (unsigned r = 0; r < numRanks_; ++r) parts[r] = parseParts(perRank[r], live.size());
-
-    const auto mergeStart = Clock::now();
-    std::vector<std::vector<Candidate>> shardLists(numRanks_);
-    for (std::size_t q = 0; q < live.size(); ++q) {
-      for (unsigned r = 0; r < numRanks_; ++r) shardLists[r] = std::move(parts[r][q]);
-      QueryResult res;
-      res.neighbors = mergeTopK(shardLists, live[q].k);
-      res.version = snap.version();
-      if (live[q].cacheable) {
-        // Key on the version that actually served the request, so lookups
-        // after a hot swap miss instead of returning stale neighbours. For
-        // by-word requests the key covers the word id, not the resolved row
-        // (lookups happen before resolution, when req.vec is still empty).
-        const std::span<const float> keyVec =
-            live[q].word != text::kInvalidWord ? std::span<const float>{}
-                                               : std::span<const float>(live[q].vec);
-        const CacheKey key = keyOf(keyVec, live[q].word, live[q].k, live[q].exclude,
-                                   live[q].qopts, res.version);
-        std::lock_guard<std::mutex> lock(cacheMu_);
-        cache_.put(key, res);
-      }
-      metrics_.queries.fetch_add(1, std::memory_order_relaxed);
-      metrics_.latency.record(elapsedMicros(live[q].submitted));
-      live[q].promise.set_value(std::move(res));
-    }
-    metrics_.mergeMicros.fetch_add(elapsedMicros(mergeStart), std::memory_order_relaxed);
+    live.push_back(p);
   }
+  if (live.empty()) return;
+
+  // Pack the round into one message (layout at decodeRound).
+  comm::ByteWriter w;
+  w.put<std::uint32_t>(static_cast<std::uint32_t>(live.size()));
+  w.put<std::uint32_t>(snap.dim());
+  for (const Pending* p : live) w.putSpan<float>(p->req.vec);
+  for (const Pending* p : live) {
+    const Request& r = p->req;
+    w.put<std::uint32_t>(r.k);
+    w.put<std::uint32_t>(static_cast<std::uint32_t>(r.qopts.mode));
+    w.put<std::uint32_t>(r.qopts.nprobe);
+    w.put<std::uint32_t>(static_cast<std::uint32_t>(r.exclude.size()));
+    w.putSpan<text::WordId>(r.exclude);
+  }
+  coll_.broadcast(w.take(), 0);
+  metrics_.batches.fetch_add(1, std::memory_order_relaxed);
+  metrics_.batchedQueries.fetch_add(live.size(), std::memory_order_relaxed);
+
+  std::vector<TopKQuery> queries;
+  std::vector<QueryOptions> qopts;
+  queries.reserve(live.size());
+  qopts.reserve(live.size());
+  for (const Pending* p : live) {
+    queries.push_back({p->req.vec.data(), p->req.k, p->req.exclude});
+    qopts.push_back(p->req.qopts);
+  }
+  const auto mine = scoreLocal(index_, queries, qopts);
+
+  const auto perRank = coll_.gatherv(serializeParts(mine), 0);
+  std::vector<std::vector<std::vector<Candidate>>> parts(numRanks_);
+  for (unsigned r = 0; r < numRanks_; ++r) parts[r] = parseParts(perRank[r], queries);
+
+  const auto mergeStart = Clock::now();
+  std::vector<std::vector<Candidate>> shardLists(numRanks_);
+  for (std::size_t q = 0; q < live.size(); ++q) {
+    const Request& r = live[q]->req;
+    for (unsigned h = 0; h < numRanks_; ++h) shardLists[h] = std::move(parts[h][q]);
+    QueryResult res;
+    res.neighbors = mergeTopK(shardLists, r.k);
+    res.version = snap.version();
+    if (r.cacheable) {
+      // Key on the version that actually served the request, so lookups
+      // after a hot swap miss instead of returning stale neighbours. For
+      // by-word requests the key covers the word id, not the resolved row
+      // (lookups happen before resolution, when req.vec is still empty).
+      const std::span<const float> keyVec =
+          r.word != text::kInvalidWord ? std::span<const float>{} : std::span<const float>(r.vec);
+      const CacheKey key = keyOf(keyVec, r.word, r.k, r.exclude, r.qopts, res.version);
+      std::lock_guard<std::mutex> lock(cacheMu_);
+      cache_.put(key, res);
+    }
+    answer(*live[q], std::move(res));
+  }
+  metrics_.mergeMicros.fetch_add(elapsedMicros(mergeStart), std::memory_order_relaxed);
 }
 
 std::vector<std::vector<Candidate>> QueryEngine::scoreLocal(
@@ -345,9 +393,10 @@ std::vector<std::vector<Candidate>> QueryEngine::scoreLocal(
 }
 
 void QueryEngine::runWorker() {
-  SnapshotStore::Pin pin = store_.pin(me_);
-  if (!pin) throw std::runtime_error("QueryEngine::run: no snapshot published");
-  ShardedIndex index(*pin, me_, numRanks_);
+  SnapshotStore::Pin pin;
+  ShardedIndex index;
+  if (!refreshPin(pin, index))
+    throw std::runtime_error("QueryEngine::run: no snapshot published");
 
   for (;;) {
     const std::vector<std::uint8_t> message = coll_.broadcast({}, 0);

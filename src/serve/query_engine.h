@@ -3,11 +3,17 @@
 // Sharded top-k query engine: scatter-gather over the Transport substrate.
 //
 // SPMD like everything above the comm seam: every rank constructs a
-// QueryEngine and calls run(). Rank 0 is the coordinator/front-end — client
-// threads call query()/queryWord() (thread-safe, blocking) and a dispatcher
-// groups requests into batches (up to maxBatch, waiting at most
-// batchWindowMicros after the first arrival to fill up). Each batch is one
-// collective round in TagSpace::kServe:
+// QueryEngine and calls run(). Rank 0 is the front-end: client threads call
+// query()/queryWord() (thread-safe, blocking) and the rounds run on those
+// threads. A submitter that finds no round in flight leads the next one: it
+// takes up to maxBatch requests from the front of the FIFO queue (first
+// waiting up to batchWindowMicros for more to arrive), runs the round
+// outside the queue lock, writes each answer into its submitter's slot and
+// marks it done. Every other submitter waits until its answer is done or no
+// round is in flight, so a queued request rides the next round at the
+// latest. Rank 0's host thread runs no round: its run() only waits for
+// shutdown() and then sends the stop round. Each batch is one collective
+// round in TagSpace::kServe:
 //
 //   broadcast  one message: count, dim, the query matrix, then per query
 //              k, mode, nprobe and the exclude list; an empty message is
@@ -17,20 +23,26 @@
 //              deterministic `better` order — identical to a single-host scan
 //
 // Workers check every value of a round before use — the dim against their
-// pinned snapshot, the mode, each exclude list's strict ascending order (the
-// top-k heap binary-searches it), and truncated or trailing bytes — and
-// throw std::runtime_error on a malformed one. Query traffic lands in the
-// ranks' CommStats, so bytes-per-query falls out like every other
-// subsystem's volume.
+// pinned snapshot, the mode, that every query value is finite, each exclude
+// list's strict ascending order (the top-k heap binary-searches it), and
+// truncated or trailing bytes — and throw std::runtime_error on a malformed
+// one. Rank 0 checks each gathered list the same way before the merge: at
+// most its query's k entries, finite scores, strictly descending under
+// `better`. A round that fails (a malformed reply, or sim::NetworkAborted
+// after a worker died) fails every request in it and every request still
+// queued with its error; later queries that miss the cache and rank 0's
+// run() rethrow it. Query traffic lands in the ranks' CommStats, so
+// bytes-per-query falls out like every other subsystem's volume.
 //
 // Each rank pins its SnapshotStore's current version for whole batches and
 // repins between batches when a publish happened (hot swap: in-flight
 // batches finish on the old version, the next batch sees the new one; during
 // the one round that straddles a publish, ranks may briefly serve different
 // versions of their own shards — bounded by a single batch and surfaced via
-// QueryResult::version).
+// QueryResult::version). Rank 0's pin is round state: only the thread
+// leading a round touches it, so its hazard slot has one holder at a time.
 //
-// Rank 0 additionally runs a version-keyed LRU in front of the batcher, so
+// Rank 0 additionally runs a version-keyed LRU in front of the queue, so
 // repeated hot queries (Zipfian traffic) short-circuit the collective round;
 // publishing a new snapshot naturally invalidates the cache (the version is
 // part of the key).
@@ -39,7 +51,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
+#include <exception>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -57,8 +69,8 @@ namespace gw2v::serve {
 struct ServeOptions {
   /// Max queries per scatter-gather round.
   unsigned maxBatch = 32;
-  /// How long the dispatcher waits after the first request of a batch for
-  /// more to arrive (amortizes kernel + collective overhead).
+  /// How long the thread leading a round waits for more requests to arrive
+  /// before it takes the batch (amortizes kernel + collective overhead).
   unsigned batchWindowMicros = 200;
   /// Rank-0 LRU entries; 0 disables the cache.
   std::size_t cacheCapacity = 1024;
@@ -96,14 +108,17 @@ class QueryEngine {
   comm::RankId rank() const noexcept { return me_; }
   const ServeOptions& options() const noexcept { return opts_; }
 
-  /// SPMD entry. Rank 0: dispatch batches until shutdown() and the queue is
-  /// drained. Other ranks: serve scoring rounds until the stop broadcast;
-  /// a malformed round throws std::runtime_error. Requires a published
-  /// snapshot.
+  /// SPMD entry; requires a published snapshot. Rank 0: wait until
+  /// shutdown() and the queue is drained, then broadcast the stop round; if
+  /// a round failed, rethrow its error instead. Other ranks: serve scoring
+  /// rounds until the stop round; a malformed round throws
+  /// std::runtime_error.
   void run();
 
-  /// Rank 0, thread-safe, blocking. `vec` must have snapshot dim elements;
-  /// it is L2-normalized internally, `exclude` need not be sorted.
+  /// Rank 0, thread-safe, blocking; the calling thread may lead the round.
+  /// `vec` must have snapshot dim finite elements (std::invalid_argument
+  /// otherwise); it is L2-normalized internally, `exclude` need not be
+  /// sorted. Throws the error of a failed round.
   QueryResult query(std::vector<float> vec, unsigned k,
                     std::vector<text::WordId> exclude = {}, QueryOptions qopts = {});
 
@@ -111,8 +126,9 @@ class QueryEngine {
   /// resolve to an empty result.
   QueryResult queryWord(text::WordId w, unsigned k, QueryOptions qopts = {});
 
-  /// Rank 0, thread-safe: stop accepting queries, serve what is queued, then
-  /// broadcast stop so every rank's run() returns.
+  /// Rank 0, thread-safe: stop accepting queries; what is queued is still
+  /// served, then rank 0's run() broadcasts stop so every rank's run()
+  /// returns.
   void shutdown();
 
   ServeMetrics& metrics() noexcept { return metrics_; }
@@ -139,16 +155,30 @@ class QueryEngine {
     std::chrono::steady_clock::time_point submitted;
     CacheKey key{};
     bool cacheable = false;
-    std::promise<QueryResult> promise;
   };
 
-  void runCoordinator();
+  /// One request and its outcome, on the submitting thread's stack for the
+  /// whole call. The queue and the round leader hold pointers to it; the
+  /// leader writes the outcome outside queueMu_ and sets `done` under it, and
+  /// the submitter reads the outcome only once it sees `done`.
+  struct Pending {
+    Request req;
+    QueryResult result;
+    std::exception_ptr error;
+    bool done = false;
+  };
+
   void runWorker();
 
   QueryResult submit(Request req);
-  /// Blocks for the next batch; empty result means shutdown-and-drained.
-  std::vector<Request> nextBatch();
-  void refreshPin(SnapshotStore::Pin& pin, ShardedIndex& index);
+  /// Called under `lock` with no round in flight: takes the next batch, runs
+  /// its round with the lock released, then marks every answer done (on a
+  /// failure, every queued request too) and wakes the waiting submitters.
+  void leadRound(std::unique_lock<std::mutex>& lock);
+  /// The round over batch_; writes each request's outcome into its slot.
+  void serveBatch();
+  /// Repins when a newer snapshot was published; false while none has been.
+  bool refreshPin(SnapshotStore::Pin& pin, ShardedIndex& index);
 
   /// Score one round's queries against this rank's shard: exact requests go
   /// through the batched brute-force scan, kAnn requests through the
@@ -169,10 +199,19 @@ class QueryEngine {
   comm::Collectives coll_;
   ServeMetrics metrics_;
 
+  // Rank 0's round state: touched only by the thread leading a round (or by
+  // run() once the stop round has taken the lead for good).
+  SnapshotStore::Pin pin_;
+  ShardedIndex index_;
+  std::vector<Pending*> batch_;
+
   std::mutex queueMu_;
-  std::condition_variable queueCv_;
-  std::deque<Request> queue_;
+  std::condition_variable arrivalCv_;  // wakes a leader waiting out the window
+  std::condition_variable doneCv_;     // answers done, round ended, shutdown
+  std::deque<Pending*> queue_;
+  bool inFlight_ = false;        // a thread leads a round (for good after stop)
   bool stopping_ = false;
+  std::exception_ptr failure_;   // the first failed round's error
 
   std::mutex cacheMu_;
   util::LruCache<CacheKey, QueryResult, CacheKeyHash> cache_;

@@ -1,18 +1,26 @@
 // End-to-end SPMD tests of the sharded query engine on the simulated
 // cluster: scatter-gather top-k must be identical (ids, order, scores) to
-// the single-host eval::EmbeddingView, the rank-0 LRU must short-circuit
-// repeats, and a snapshot published mid-run must be picked up by later
-// batches without disturbing earlier answers.
+// the single-host eval::EmbeddingView, also when many client threads lead
+// and ride each other's rounds; the rank-0 LRU must short-circuit repeats; a
+// snapshot published mid-run must be picked up by later batches without
+// disturbing earlier answers; shutdown serves what is queued; and a worker
+// that dies fails every waiting query instead of hanging it.
 
 #include "serve/query_engine.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <exception>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "comm/collectives.h"
 #include "comm/transport.h"
 #include "eval/embedding_view.h"
 #include "graph/model_graph.h"
@@ -39,7 +47,9 @@ graph::ModelGraph makeModel(std::uint64_t seed) {
 }
 
 /// Runs `client` against a QueryEngine front-end on an H-host simulated
-/// cluster; every rank participates in the scoring rounds.
+/// cluster; every rank participates in the scoring rounds. The client thread
+/// is joined on every path, and an exception out of `client` is rethrown
+/// once rank 0's run() has returned.
 void runServe(unsigned numHosts, const SnapshotStore& store, ServeOptions opts,
               const std::function<void(QueryEngine&)>& client) {
   sim::ClusterOptions copts;
@@ -47,17 +57,38 @@ void runServe(unsigned numHosts, const SnapshotStore& store, ServeOptions opts,
   sim::runCluster(copts, [&](sim::HostContext& ctx) {
     comm::SimTransport transport(ctx.network());
     QueryEngine engine(transport, ctx.id(), store, opts);
-    if (ctx.id() == 0) {
-      std::thread clientThread([&] {
-        client(engine);
-        engine.shutdown();
-      });
+    if (ctx.id() != 0) {
       engine.run();
-      clientThread.join();
-    } else {
-      engine.run();
+      return;
     }
+    std::exception_ptr clientError;
+    std::thread clientThread([&] {
+      try {
+        client(engine);
+      } catch (...) {
+        clientError = std::current_exception();
+      }
+      engine.shutdown();
+    });
+    try {
+      engine.run();
+    } catch (...) {
+      clientThread.join();
+      throw;
+    }
+    clientThread.join();
+    if (clientError) std::rethrow_exception(clientError);
   });
+}
+
+/// Same ids, order and scores as the single-host reference.
+bool sameAnswer(const QueryResult& got, const std::vector<eval::Neighbor>& want) {
+  if (got.neighbors.size() != want.size()) return false;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (got.neighbors[i].id != want[i].word || got.neighbors[i].score != want[i].similarity)
+      return false;
+  }
+  return true;
 }
 
 TEST(ServeQueryEngine, ShardedResultsMatchSingleHostReference) {
@@ -182,6 +213,17 @@ TEST(ServeQueryEngine, EdgeCases) {
     EXPECT_EQ(engine.queryWord(0, 10 * kVocab).neighbors.size(), kVocab - 1);
     // Wrong query dimensionality surfaces as invalid_argument.
     EXPECT_THROW(engine.query(std::vector<float>(kDim + 3, 1.0f), 5), std::invalid_argument);
+    // So does a non-finite element: the top-k order is only defined over
+    // finite scores.
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()}) {
+      std::vector<float> vec(kDim, 0.5f);
+      vec[kDim / 2] = bad;
+      EXPECT_THROW(engine.query(vec, 5), std::invalid_argument) << bad;
+    }
+    // Per-request errors leave the engine serving.
+    EXPECT_EQ(engine.queryWord(1, 5).neighbors.size(), 5u);
   });
 }
 
@@ -219,6 +261,192 @@ TEST(ServeQueryEngine, BatchingAmortizesRoundsAcrossConcurrentClients) {
     EXPECT_GT(m.batchOccupancy(opts.maxBatch), 0.0);
     EXPECT_GT(m.latency.count(), 0u);
   });
+}
+
+TEST(ServeQueryEngine, ConcurrentClientsMatchSingleHost) {
+  const graph::ModelGraph model = makeModel(59);
+  const text::Vocabulary vocab = makeVocab(kVocab);
+  const eval::EmbeddingView view(model, vocab);
+  constexpr unsigned kClients = 8;
+  constexpr unsigned kPerClient = 25;
+
+  for (const unsigned window : {0u, 3000u}) {
+    for (const unsigned numHosts : {1u, 2u, 4u}) {
+      SnapshotStore store(8);
+      store.publish(std::make_shared<const EmbeddingSnapshot>(model, &vocab, 1));
+      ServeOptions opts;
+      opts.cacheCapacity = 0;
+      opts.batchWindowMicros = window;
+      runServe(numHosts, store, opts, [&](QueryEngine& engine) {
+        std::atomic<unsigned> mismatches{0};
+        std::vector<std::thread> clients;
+        for (unsigned c = 0; c < kClients; ++c) {
+          clients.emplace_back([&, c] {
+            for (unsigned i = 0; i < kPerClient; ++i) {
+              const auto w = static_cast<text::WordId>((c * 7 + i * 3) % kVocab);
+              const unsigned k = 1 + (c + i) % 12;
+              bool same;
+              if (i % 5 == 4) {
+                // An arbitrary vector with an exclude list.
+                std::vector<float> raw(kDim);
+                for (std::uint32_t d = 0; d < kDim; ++d)
+                  raw[d] = static_cast<float>((d * (c + 1) + i) % 9) - 4.0f;
+                const std::vector<text::WordId> exclude = {w, (w + 5) % kVocab};
+                same = sameAnswer(engine.query(raw, k, exclude), view.nearest(raw, k, exclude));
+              } else {
+                same = sameAnswer(engine.queryWord(w, k), view.nearestTo(w, k));
+              }
+              if (!same) mismatches.fetch_add(1);
+            }
+          });
+        }
+        for (auto& t : clients) t.join();
+        EXPECT_EQ(mismatches.load(), 0u) << "window=" << window << " H=" << numHosts;
+        const auto& m = engine.metrics();
+        EXPECT_EQ(m.queries.load(), kClients * kPerClient);
+        EXPECT_EQ(m.queries.load(), m.batchedQueries.load());
+        EXPECT_GE(m.batches.load(), 1u);
+        EXPECT_LE(m.batches.load(), m.batchedQueries.load());
+      });
+    }
+  }
+}
+
+TEST(ServeQueryEngine, ShutdownServesWhatIsQueued) {
+  const graph::ModelGraph model = makeModel(61);
+  const text::Vocabulary vocab = makeVocab(kVocab);
+  const eval::EmbeddingView view(model, vocab);
+  SnapshotStore store(8);
+  store.publish(std::make_shared<const EmbeddingSnapshot>(model, &vocab, 1));
+
+  ServeOptions opts;
+  opts.cacheCapacity = 0;
+  opts.maxBatch = 4;  // 8 clients: requests queue behind full rounds
+  opts.batchWindowMicros = 200;
+  constexpr unsigned kClients = 8;
+  constexpr unsigned kHosts = 2;
+  std::atomic<unsigned> answered{0}, refused{0}, wrong{0}, runsReturned{0};
+
+  sim::ClusterOptions copts;
+  copts.numHosts = kHosts;
+  sim::runCluster(copts, [&](sim::HostContext& ctx) {
+    comm::SimTransport transport(ctx.network());
+    QueryEngine engine(transport, ctx.id(), store, opts);
+    if (ctx.id() != 0) {
+      engine.run();
+      runsReturned.fetch_add(1);
+      return;
+    }
+    // Clients submit until they are refused; shutdown() lands while they
+    // are still submitting.
+    std::vector<std::thread> clients;
+    for (unsigned c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        for (unsigned i = 0;; ++i) {
+          const auto w = static_cast<text::WordId>((c * 11 + i) % kVocab);
+          try {
+            if (!sameAnswer(engine.queryWord(w, 5), view.nearestTo(w, 5))) wrong.fetch_add(1);
+            answered.fetch_add(1);
+          } catch (const std::runtime_error& e) {
+            if (std::string(e.what()).find("shutting down") == std::string::npos)
+              wrong.fetch_add(1);
+            refused.fetch_add(1);
+            return;
+          }
+        }
+      });
+    }
+    std::thread stopper([&] {
+      const auto giveUp = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (answered.load() < 50 && std::chrono::steady_clock::now() < giveUp)
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      engine.shutdown();
+    });
+    const auto joinAll = [&] {
+      stopper.join();
+      for (auto& t : clients) t.join();
+    };
+    try {
+      engine.run();
+    } catch (...) {
+      joinAll();
+      throw;
+    }
+    runsReturned.fetch_add(1);
+    joinAll();
+    EXPECT_EQ(engine.metrics().queries.load(), answered.load());
+  });
+  EXPECT_GE(answered.load(), 50u);
+  EXPECT_EQ(refused.load(), kClients);
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(runsReturned.load(), kHosts);
+}
+
+TEST(ServeQueryEngine, WorkerDeathFailsEveryWaitingQuery) {
+  const graph::ModelGraph model = makeModel(67);
+  const text::Vocabulary vocab = makeVocab(kVocab);
+  SnapshotStore store(8);
+  store.publish(std::make_shared<const EmbeddingSnapshot>(model, &vocab, 1));
+
+  ServeOptions opts;
+  opts.cacheCapacity = 0;
+  opts.batchWindowMicros = 0;
+  constexpr unsigned kClients = 4;
+  constexpr unsigned kPerClient = 3;
+  std::atomic<unsigned> aborted{0}, other{0};
+  std::atomic<bool> runRethrew{false};
+
+  sim::ClusterOptions copts;
+  copts.numHosts = 2;
+  try {
+    sim::runCluster(copts, [&](sim::HostContext& ctx) {
+      comm::SimTransport transport(ctx.network());
+      if (ctx.id() == 1) {
+        // Take the first round off the wire, give the other clients time to
+        // queue behind it, then die instead of answering.
+        comm::Collectives coll(transport, ctx.id(), comm::TagSpace::kServe);
+        (void)coll.broadcast({}, 0);
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        throw std::logic_error("rank 1 died");
+      }
+      QueryEngine engine(transport, ctx.id(), store, opts);
+      std::vector<std::thread> clients;
+      for (unsigned c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+          for (unsigned i = 0; i < kPerClient; ++i) {
+            try {
+              (void)engine.queryWord(c * kPerClient + i, 5);
+              other.fetch_add(1);
+            } catch (const sim::NetworkAborted&) {
+              aborted.fetch_add(1);
+            } catch (...) {
+              other.fetch_add(1);
+            }
+          }
+        });
+      }
+      const auto joinAll = [&] {
+        for (auto& t : clients) t.join();
+      };
+      try {
+        engine.run();
+      } catch (const sim::NetworkAborted&) {
+        runRethrew = true;
+        joinAll();
+        throw;
+      } catch (...) {
+        joinAll();
+        throw;
+      }
+      joinAll();
+    });
+    ADD_FAILURE() << "runCluster returned after a rank died";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "rank 1 died");
+  }
+  EXPECT_EQ(aborted.load(), kClients * kPerClient);
+  EXPECT_EQ(other.load(), 0u);
+  EXPECT_TRUE(runRethrew.load());
 }
 
 TEST(ServeQueryEngine, RunWithoutPublishedSnapshotThrows) {
