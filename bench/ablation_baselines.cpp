@@ -6,7 +6,7 @@
 
 #include "bench/common.h"
 
-#include "baselines/parameter_server.h"
+#include "ps/trainer.h"
 
 using namespace gw2v;
 
@@ -45,13 +45,20 @@ int main() {
              core::GraphWord2Vec(data.vocab, o).train(data.corpus).cluster);
     }
     {
-      baselines::ParameterServerOptions o;
+      // The strawman of Fig 3: one server, every round a BSP window, raw-SUM
+      // folds, fp32 wire and no row cache.
+      ps::PsTrainOptions o;
       o.sgns = bench::benchSgns();
       o.epochs = epochs;
       o.roundsPerEpoch = core::defaultSyncRounds(hosts);
       o.numHosts = hosts;
-      report("ParameterServer", hosts,
-             baselines::trainParameterServer(data.vocab, data.corpus, o).cluster);
+      o.numServers = 1;
+      o.staleness = 0;
+      o.reduction = core::Reduction::kSum;
+      o.codec = comm::SyncCodec::kFp32;
+      o.cacheRows = 0;
+      o.trackLoss = false;
+      report("ParameterServer", hosts, ps::trainAsyncPs(data.vocab, data.corpus, o).cluster);
     }
     std::fflush(stdout);
   }

@@ -59,7 +59,7 @@ int main() {
           const double comm = result.cluster.maxModelledCommSeconds();
           const double mb = static_cast<double>(result.cluster.totalBytes()) / 1e6;
           volumeMB[ci][static_cast<std::size_t>(vi)][static_cast<std::size_t>(hi)] = mb;
-          const sim::SyncPhaseSeconds phases = result.cluster.maxSyncPhaseSeconds();
+          const comm::SyncPhaseSeconds phases = result.cluster.maxSyncPhaseSeconds();
           char cfg[16];
           std::snprintf(cfg, sizeof(cfg), "%u(%u)", h, core::defaultSyncRounds(h));
           std::printf(

@@ -26,12 +26,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "bench/common.h"
-#include "comm/transport.h"
+#include "comm/rank_context.h"
 #include "graph/model_io.h"
 #include "runtime/thread_pool.h"
 #include "serve/query_engine.h"
@@ -173,14 +174,9 @@ PhaseResult runAnnPhase(const serve::SnapshotStore& store, unsigned hosts,
   copts.numHosts = hosts;
   serve::ServeOptions opts;
   opts.cacheCapacity = 0;  // measure scoring, not the front-end cache
-  sim::runCluster(copts, [&](sim::HostContext& ctx) {
-    comm::SimTransport transport(ctx.network());
-    serve::QueryEngine engine(transport, ctx.id(), store, opts);
-    if (ctx.id() != 0) {
-      engine.run();
-      return;
-    }
-    std::thread driver([&] {
+  sim::runCluster(copts, [&](comm::RankContext& ctx) {
+    serve::QueryEngine engine(ctx.transport(), ctx.id(), store, opts);
+    engine.runWithClient([&](serve::QueryEngine&) {
       const std::uint32_t stride = std::max<std::uint32_t>(1, rows / numQueries);
       for (unsigned q = 0; q < numQueries; ++q) {
         const auto res =
@@ -200,10 +196,7 @@ PhaseResult runAnnPhase(const serve::SnapshotStore& store, unsigned hosts,
           annQ == 0 ? 0.0 : static_cast<double>(m.annProbeCount.load()) / annQ;
       out.p50 = m.latency.quantileMicros(0.50);
       out.p99 = m.latency.quantileMicros(0.99);
-      engine.shutdown();
     });
-    engine.run();
-    driver.join();
   });
   return out;
 }
@@ -260,27 +253,30 @@ int main() {
 
   sim::ClusterOptions copts;
   copts.numHosts = hosts;
-  const sim::ClusterReport cluster = sim::runCluster(copts, [&](sim::HostContext& ctx) {
-    comm::SimTransport transport(ctx.network());
-    serve::QueryEngine engine(transport, ctx.id(), store, opts);
-    if (ctx.id() != 0) {
-      engine.run();
-      return;
-    }
-    std::thread driver([&] {
-      // Phase A — measured Zipf traffic from kClients concurrent threads.
+  const sim::ClusterReport cluster = sim::runCluster(copts, [&](comm::RankContext& ctx) {
+    serve::QueryEngine engine(ctx.transport(), ctx.id(), store, opts);
+    engine.runWithClient([&](serve::QueryEngine&) {
+      // Phase A — measured Zipf traffic from kClients concurrent threads,
+      // each joined before the first client error is rethrown.
       const auto t0 = std::chrono::steady_clock::now();
       std::vector<std::thread> workers;
+      std::vector<std::exception_ptr> errors(kClients);
       for (unsigned c = 0; c < kClients; ++c) {
         workers.emplace_back([&, c] {
-          util::Rng rng(0x5eed + c);
-          const unsigned mine = numQueries / kClients + (c < numQueries % kClients ? 1 : 0);
-          for (unsigned i = 0; i < mine; ++i) {
-            (void)engine.queryWord(sampler.sample(rng), 10);
+          try {
+            util::Rng rng(0x5eed + c);
+            const unsigned mine = numQueries / kClients + (c < numQueries % kClients ? 1 : 0);
+            for (unsigned i = 0; i < mine; ++i) {
+              (void)engine.queryWord(sampler.sample(rng), 10);
+            }
+          } catch (...) {
+            errors[c] = std::current_exception();
           }
         });
       }
       for (auto& w : workers) w.join();
+      for (const auto& e : errors)
+        if (e) std::rethrow_exception(e);
       rep.wallSeconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
@@ -316,10 +312,7 @@ int main() {
       rep.batchOccupancy = m.batchOccupancy(opts.maxBatch);
       rep.cacheHitRate = m.cacheHitRate();
       rep.swapsObserved = m.snapshotSwaps.load();
-      engine.shutdown();
     });
-    engine.run();
-    driver.join();
   });
 
   const std::uint64_t served = rep.queries;

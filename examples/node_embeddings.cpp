@@ -31,7 +31,7 @@
 #include <thread>
 #include <vector>
 
-#include "comm/transport.h"
+#include "comm/rank_context.h"
 #include "core/trainer.h"
 #include "eval/embedding_view.h"
 #include "eval/link_prediction.h"
@@ -166,14 +166,9 @@ int main(int argc, char** argv) {
   double probesAvg = 0.0, candRatio = 0.0;
   sim::ClusterOptions copts;
   copts.numHosts = topts.numHosts;
-  sim::runCluster(copts, [&](sim::HostContext& ctx) {
-    comm::SimTransport transport(ctx.network());
-    serve::QueryEngine engine(transport, ctx.id(), store);
-    if (ctx.id() != 0) {
-      engine.run();
-      return;
-    }
-    std::thread driver([&] {
+  sim::runCluster(copts, [&](comm::RankContext& ctx) {
+    serve::QueryEngine engine(ctx.transport(), ctx.id(), store);
+    engine.runWithClient([&](serve::QueryEngine&) {
       serve::QueryOptions qo;
       qo.mode = serve::QueryMode::kAnn;
       qo.nprobe = nprobe;
@@ -198,10 +193,7 @@ int main(int argc, char** argv) {
                             : static_cast<double>(m.annProbeCount.load()) /
                                   static_cast<double>(annQ);
       candRatio = m.annCandidateRatio();
-      engine.shutdown();
     });
-    engine.run();
-    driver.join();
   });
   std::printf("serve: ANN recall@%u vs exact %.3f over %u queries on %u host(s)  "
               "(nprobe %u, avg probes %.1f, candidate ratio %.3f)\n",

@@ -4,7 +4,7 @@
 #include <memory>
 
 #include "comm/collectives.h"
-#include "comm/transport.h"
+#include "comm/rank_context.h"
 #include "runtime/do_all.h"
 #include "text/corpus.h"
 #include "text/sampling.h"
@@ -35,10 +35,9 @@ ColumnParallelResult trainColumnParallel(const text::Vocabulary& vocab,
   std::vector<double> epochLoss(opts.epochs, 0.0);
   std::uint64_t totalExamples = 0;
 
-  const auto body = [&](sim::HostContext& ctx) {
+  const auto body = [&](comm::RankContext& ctx) {
     const unsigned host = ctx.id();
-    comm::SimTransport transport(ctx.network());
-    comm::Collectives coll(transport, host, comm::TagSpace::kBaseline);
+    comm::Collectives coll(ctx.transport(), host, comm::TagSpace::kBaseline);
     graph::ModelGraph& model = *replicas[host];
     const auto [dlo, dhi] = runtime::blockRange(dim, numHosts, host);
     const std::uint32_t sliceLen = static_cast<std::uint32_t>(dhi - dlo);
@@ -72,7 +71,7 @@ ColumnParallelResult trainColumnParallel(const text::Vocabulary& vocab,
         }
         ctx.computeTimer().stop();
         // ...summed across hosts into global dots (the design's hot loop).
-        const sim::CommSnapshot before = sim::snapshot(ctx.commStats());
+        const comm::CommSnapshot before = comm::snapshot(ctx.commStats());
         coll.allReduceSum(dots);
         ctx.chargeExchange(before);
 

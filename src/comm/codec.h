@@ -26,6 +26,7 @@
 #include <string_view>
 
 #include "util/simd.h"
+#include "util/vecmath.h"
 
 namespace gw2v::comm {
 
@@ -107,6 +108,19 @@ inline void decodeRowValues(SyncCodec c, const std::uint8_t* in, std::span<float
       break;
     }
   }
+}
+
+/// One error-feedback step of a lossy codec: owe += residual, encode owe at
+/// `out`, then residual = owe - decode(out), so the quantization error is
+/// owed to the next encode of this row instead of lost. `owe` enters holding
+/// the value to ship and leaves holding what was owed; `dec` is dim floats of
+/// scratch.
+inline void encodeWithFeedback(SyncCodec c, std::span<float> owe, std::span<float> residual,
+                               std::uint8_t* out, std::span<float> dec) noexcept {
+  util::add(residual, owe);
+  encodeRowValues(c, owe, out);
+  decodeRowValues(c, out, dec);
+  util::sub(owe, dec, residual);
 }
 
 }  // namespace gw2v::comm

@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "comm/transport.h"
-#include "sim/network.h"
 
 namespace gw2v::comm {
 
@@ -65,7 +64,7 @@ const char* tagSpaceName(TagSpace s) noexcept;
 /// its RPC tags inside tagSpaceRange(TagSpace::kPs). Registered with the
 /// transport so cross-subsystem overlaps fail fast (Transport::registerTagRange).
 constexpr std::pair<int, int> tagSpaceRange(TagSpace s) noexcept {
-  const int base = sim::kInternalTagBase + (static_cast<int>(s) << 20);
+  const int base = kInternalTagBase + (static_cast<int>(s) << 20);
   return {base, base + (1 << 20)};
 }
 

@@ -1,18 +1,26 @@
 #pragma once
 
-// Per-host communication accounting.
+// Per-rank communication accounting, and the error a poisoned fabric throws.
 //
 // The paper's Figures 8 and 9 analyse communication *volume* (TB exchanged)
 // and the comp/comm time split. Volume we can count exactly; time on a real
 // cluster is replaced here by a NetworkModel applied to the counted bytes
-// (see DESIGN.md "Simulated time").
+// (see DESIGN.md "Simulated time"). Every Transport backend keeps one
+// CommStats per rank and throws NetworkAborted out of its blocking calls.
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
 
-namespace gw2v::sim {
+namespace gw2v::comm {
 
-/// One host's traffic: bytes sent and received (payload plus framing),
+/// Thrown out of blocking operations on all surviving ranks once a faulted
+/// rank has poisoned the fabric, so it never deadlocks its peers.
+struct NetworkAborted : std::runtime_error {
+  NetworkAborted() : std::runtime_error("simulated network aborted by a faulted host") {}
+};
+
+/// One rank's traffic: bytes sent and received (payload plus framing),
 /// messages sent, and the serialized collective rounds it sat through.
 class CommStats {
  public:
@@ -24,10 +32,10 @@ class CommStats {
     bytesReceived_.fetch_add(bytes, std::memory_order_relaxed);
   }
 
-  /// Serialized rounds this host sat through inside collective operations
+  /// Serialized rounds this rank sat through inside collective operations
   /// (ring steps, tree depth, star drain length). The NetworkModel charges
   /// latency on max(messages, rounds), so algorithm depth shows up in
-  /// modelled time even when this host sent few messages itself.
+  /// modelled time even when this rank sent few messages itself.
   void recordCollectiveRounds(std::uint64_t rounds) noexcept {
     collectiveRounds_.fetch_add(rounds, std::memory_order_relaxed);
   }
@@ -70,4 +78,4 @@ inline CommSnapshot delta(const CommSnapshot& before, const CommSnapshot& after)
           after.collectiveRounds - before.collectiveRounds};
 }
 
-}  // namespace gw2v::sim
+}  // namespace gw2v::comm

@@ -32,12 +32,11 @@ void forEachEntry(std::span<const std::uint8_t> payload, std::uint32_t lo, std::
 
 }  // namespace
 
-ScalarSyncEngine::ScalarSyncEngine(sim::HostContext& ctx, std::span<float> values,
+ScalarSyncEngine::ScalarSyncEngine(RankContext& ctx, std::span<float> values,
                                    util::BitVector& touched,
                                    const graph::BlockedPartition& partition)
     : ctx_(ctx),
-      transport_(ctx.network()),
-      coll_(transport_, ctx.id(), TagSpace::kScalarSync),
+      coll_(ctx.transport(), ctx.id(), TagSpace::kScalarSync),
       values_(values),
       touched_(touched),
       partition_(partition) {
@@ -46,10 +45,10 @@ ScalarSyncEngine::ScalarSyncEngine(sim::HostContext& ctx, std::span<float> value
 }
 
 std::uint64_t ScalarSyncEngine::sync() {
-  const unsigned numHosts = ctx_.numHosts();
+  const unsigned numHosts = ctx_.numRanks();
   const unsigned me = ctx_.id();
 
-  const sim::CommSnapshot before = sim::snapshot(ctx_.commStats());
+  const CommSnapshot before = snapshot(ctx_.commStats());
 
   // Reduce: touched labels to their masters (personalized exchange).
   std::vector<std::vector<std::uint8_t>> reduceOut(numHosts), reduceIn(numHosts);

@@ -23,9 +23,8 @@
 #include <span>
 
 #include "comm/collectives.h"
-#include "comm/transport.h"
+#include "comm/rank_context.h"
 #include "graph/partition.h"
-#include "sim/cluster.h"
 #include "util/bitvector.h"
 
 namespace gw2v::comm {
@@ -34,7 +33,7 @@ class ScalarSyncEngine {
  public:
   /// `values` and `touched` are the host's label array and dirty bits; both
   /// must outlive the engine and have one slot per node.
-  ScalarSyncEngine(sim::HostContext& ctx, std::span<float> values, util::BitVector& touched,
+  ScalarSyncEngine(RankContext& ctx, std::span<float> values, util::BitVector& touched,
                    const graph::BlockedPartition& partition);
 
   /// One BSP sync round; clears the touched bits. Returns how many of this
@@ -44,8 +43,7 @@ class ScalarSyncEngine {
   std::uint64_t rounds() const noexcept { return round_; }
 
  private:
-  sim::HostContext& ctx_;
-  SimTransport transport_;
+  RankContext& ctx_;
   Collectives coll_;
   std::span<float> values_;
   util::BitVector& touched_;

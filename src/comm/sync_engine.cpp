@@ -52,19 +52,18 @@ const char* syncStrategyName(SyncStrategy s) noexcept {
   return "?";
 }
 
-SyncEngine::SyncEngine(sim::HostContext& ctx, graph::ModelGraph& model,
+SyncEngine::SyncEngine(RankContext& ctx, graph::ModelGraph& model,
                        const graph::BlockedPartition& partition, const Reducer& reducer,
                        SyncStrategy strategy, SyncOptions opts)
     : ctx_(ctx),
-      transport_(ctx.network()),
-      coll_(transport_, ctx.id(), TagSpace::kModelSync),
+      coll_(ctx.transport(), ctx.id(), TagSpace::kModelSync),
       model_(model),
       partition_(partition),
       reducer_(reducer),
       strategy_(strategy),
       syncOpts_(opts) {
   assert(partition_.numNodes() == model_.numNodes());
-  assert(partition_.numHosts() == ctx_.numHosts());
+  assert(partition_.numHosts() == ctx_.numRanks());
   if (syncOpts_.codec != SyncCodec::kFp32) {
     for (auto& table : residual_) table.init(model_.numNodes(), model_.dim());  // zero-filled
   }
@@ -119,13 +118,13 @@ void SyncEngine::releaseBuf(std::vector<std::uint8_t>&& b) {
 // will access next round; parse the symmetric lists into pullWants_. A list
 // names rows of this host's master range, ascending.
 void SyncEngine::exchangeWillAccess(const util::BitVector* willAccess) {
-  const unsigned numHosts = ctx_.numHosts();
+  const unsigned numHosts = ctx_.numRanks();
   const unsigned me = ctx_.id();
   ensureSize(pullWants_, numHosts);
   for (auto& v : pullWants_) v.clear();
   if (numHosts <= 1) return;
 
-  sim::SyncPhaseSeconds& phases = ctx_.syncSeconds();
+  SyncPhaseSeconds& phases = ctx_.syncSeconds();
   util::WallTimer total;
   util::WallTimer t;
   for (unsigned peer = 0; peer < numHosts; ++peer) {
@@ -181,20 +180,20 @@ void SyncEngine::exchangeWillAccess(const util::BitVector* willAccess) {
 // for the broadcast. Bit-identical at any thread count; determinism argument
 // in DESIGN.md §5f.
 void SyncEngine::doSync(const util::BitVector* willAccess) {
-  const unsigned numHosts = ctx_.numHosts();
+  const unsigned numHosts = ctx_.numRanks();
   const unsigned me = ctx_.id();
   const std::uint32_t dim = model_.dim();
   const bool naive = strategy_ == SyncStrategy::kRepModelNaive;
   const bool pull = strategy_ == SyncStrategy::kPullModel;
   runtime::ThreadPool& pool = ctx_.pool();
   const unsigned numThreads = pool.numThreads();
-  sim::SyncPhaseSeconds& phases = ctx_.syncSeconds();
+  SyncPhaseSeconds& phases = ctx_.syncSeconds();
   const SyncCodec codec = syncOpts_.codec;
   const bool lossy = codec != SyncCodec::kFp32;
   const bool ef = lossy && syncOpts_.errorFeedback;
   const std::size_t entryBytes = codecEntryBytes(codec, dim);
 
-  const sim::CommSnapshot before = sim::snapshot(ctx_.commStats());
+  const CommSnapshot before = snapshot(ctx_.commStats());
 
   // ---- Per-round scratch (reused across rounds; see scratchGrowEvents). ----
   if (bufPool_.capacity() < 2 * numHosts + 2) bufPool_.reserve(2 * numHosts + 2);
@@ -357,17 +356,13 @@ void SyncEngine::doSync(const util::BitVector* willAccess) {
           putU32(out, n);
           if (!lossy) {
             std::memcpy(out + 4, scratch.data(), entryBytes - 4);
+          } else if (ef) {
+            // Rows are disjoint across pack tasks (each row has one master),
+            // so residual writes don't race.
+            encodeWithFeedback(codec, scratch, residual.untrackedRow(n), out + 4,
+                               threadDecode_[tid]);
           } else {
-            // Error feedback: owe = delta + residual; ship Q(owe); remember
-            // owe - decode(Q(owe)). Rows are disjoint across pack tasks
-            // (each row has one master), so residual writes don't race.
-            if (ef) util::add(residual.row(n), scratch);
             encodeRowValues(codec, scratch, out + 4);
-            if (ef) {
-              auto& dec = threadDecode_[tid];
-              decodeRowValues(codec, out + 4, dec);
-              util::sub(scratch, dec, residual.untrackedRow(n));
-            }
           }
           out += entryBytes;
         };

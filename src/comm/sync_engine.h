@@ -51,12 +51,11 @@
 
 #include "comm/codec.h"
 #include "comm/collectives.h"
+#include "comm/rank_context.h"
 #include "comm/reducer.h"
-#include "comm/transport.h"
 #include "graph/model_graph.h"
 #include "graph/partition.h"
 #include "model/embedding_table.h"
-#include "sim/cluster.h"
 #include "util/bitvector.h"
 
 namespace gw2v::comm {
@@ -80,7 +79,7 @@ struct SyncOptions {
 
 class SyncEngine {
  public:
-  SyncEngine(sim::HostContext& ctx, graph::ModelGraph& model,
+  SyncEngine(RankContext& ctx, graph::ModelGraph& model,
              const graph::BlockedPartition& partition, const Reducer& reducer,
              SyncStrategy strategy, SyncOptions opts = {});
 
@@ -139,8 +138,7 @@ class SyncEngine {
 
   void exchangeWillAccess(const util::BitVector* willAccess);
 
-  sim::HostContext& ctx_;
-  SimTransport transport_;
+  RankContext& ctx_;
   Collectives coll_;
   graph::ModelGraph& model_;
   const graph::BlockedPartition& partition_;

@@ -5,27 +5,32 @@
 //
 // A Transport moves opaque byte payloads between ranks with (source, tag)
 // matching, provides an any-source receive, a global barrier, and per-rank
-// traffic counts (bytes sent and received, messages, collective rounds).
-// Blocking calls must throw sim::NetworkAborted once the fabric is poisoned
-// so a faulted rank can never deadlock its peers — this is the
-// abort-propagation half of the contract, and comm::Collectives relies on it.
+// traffic counts (comm::CommStats: bytes sent and received, messages,
+// collective rounds). Blocking calls must throw comm::NetworkAborted once the
+// fabric is poisoned so a faulted rank can never deadlock its peers — this is
+// the abort-propagation half of the contract, and comm::Collectives relies on
+// it.
 //
 // SimTransport is the first backend: a thin adapter over the in-process
-// simulated network. A socket or MPI backend plugs in by implementing the
-// same five virtuals plus the counters; everything above this seam
-// (Collectives, SyncEngine, ScalarSyncEngine, the baselines) is
-// transport-agnostic.
+// simulated network, built once per run by the launcher (sim/cluster.h). A
+// socket or MPI backend plugs in by implementing the same five virtuals plus
+// the counters; everything above this seam (Collectives, the sync engines,
+// the host bodies, the serving engine) is transport-agnostic, and an SPMD
+// body reaches its transport through a comm::RankContext (comm/rank_context.h).
 
 #include <cstdint>
 #include <utility>
 #include <vector>
 
-#include "sim/comm_stats.h"
+#include "comm/comm_stats.h"
 #include "sim/network.h"
 
 namespace gw2v::comm {
 
 using RankId = unsigned;
+
+/// Reserved tag ranges: user code must stay below kInternalTagBase.
+inline constexpr int kInternalTagBase = 1 << 24;
 
 class Transport {
  public:
@@ -49,7 +54,7 @@ class Transport {
   virtual void barrier(RankId rank) = 0;
 
   /// Per-rank traffic counts; Collectives records its round counts here.
-  virtual sim::CommStats& statsFor(RankId rank) noexcept = 0;
+  virtual CommStats& statsFor(RankId rank) noexcept = 0;
 
   /// Declare ownership of the half-open tag range [lo, hi). Backends that can
   /// police tag discipline (the simulated network) throw std::logic_error on
@@ -58,8 +63,8 @@ class Transport {
   virtual void registerTagRange(int /*lo*/, int /*hi*/, const char* /*owner*/) {}
 };
 
-/// Backend #1: the in-process simulated network. Stateless wrapper — cheap to
-/// construct wherever a sim::HostContext is in hand.
+/// Backend #1: the in-process simulated network. Stateless wrapper over the
+/// run's one network.
 class SimTransport final : public Transport {
  public:
   explicit SimTransport(sim::Network& net) noexcept : net_(net) {}
@@ -80,7 +85,7 @@ class SimTransport final : public Transport {
 
   void barrier(RankId rank) override { net_.barrier(rank); }
 
-  sim::CommStats& statsFor(RankId rank) noexcept override { return net_.statsFor(rank); }
+  CommStats& statsFor(RankId rank) noexcept override { return net_.statsFor(rank); }
 
   void registerTagRange(int lo, int hi, const char* owner) override {
     net_.registerTagRange(lo, hi, owner);

@@ -6,7 +6,7 @@
 #include <stdexcept>
 
 #include "comm/collectives.h"
-#include "comm/transport.h"
+#include "comm/rank_context.h"
 #include "core/cbow.h"
 #include "core/huffman.h"
 #include "core/model_combiner.h"
@@ -209,12 +209,11 @@ TrainResult GraphWord2Vec::train(text::CorpusSource& source,
   std::vector<std::uint64_t> perHostExamples(numHosts, 0);
   std::vector<std::uint64_t> perHostScratchPeak(numHosts, 0);
 
-  const auto body = [&](sim::HostContext& ctx) {
+  const auto body = [&](comm::RankContext& ctx) {
     const unsigned host = ctx.id();
     graph::ModelGraph& model = *replicas[host];
     comm::SyncEngine sync(ctx, model, partition, *reducer, opts_.strategy, opts_.sync);
-    comm::SimTransport transport(ctx.network());
-    comm::Collectives coll(transport, host, comm::TagSpace::kTrainer);
+    comm::Collectives coll(ctx.transport(), host, comm::TagSpace::kTrainer);
 
     RoundFeeder feeder(source.shard(host), rounds, vocabSize);
     const unsigned numThreads = ctx.pool().numThreads();

@@ -4,8 +4,8 @@
 #include <limits>
 
 #include "comm/collectives.h"
+#include "comm/rank_context.h"
 #include "comm/scalar_sync.h"
-#include "comm/transport.h"
 #include "graph/algorithms.h"
 #include "graph/partition.h"
 #include "util/bitvector.h"
@@ -31,12 +31,11 @@ DistributedResult runBsp(const CSRGraph& g, unsigned numHosts,
   sim::ClusterOptions copts;
   copts.numHosts = numHosts;
   DistributedResult result;
-  result.cluster = sim::runCluster(copts, [&](sim::HostContext& ctx) {
+  result.cluster = sim::runCluster(copts, [&](comm::RankContext& ctx) {
     std::vector<float>& values = replicas[ctx.id()];
     util::BitVector touched(g.numNodes());
     comm::ScalarSyncEngine sync(ctx, values, touched, partition);
-    comm::SimTransport transport(ctx.network());
-    comm::Collectives coll(transport, ctx.id(), comm::TagSpace::kGraphAnalytics);
+    comm::Collectives coll(ctx.transport(), ctx.id(), comm::TagSpace::kGraphAnalytics);
     const auto [lo, hi] = partition.masterRange(ctx.id());
 
     for (;;) {
@@ -147,11 +146,10 @@ DistributedPagerankResult distributedPagerank(const CSRGraph& g, unsigned numHos
   sim::ClusterOptions copts;
   copts.numHosts = numHosts;
   DistributedPagerankResult result;
-  result.cluster = sim::runCluster(copts, [&](sim::HostContext& ctx) {
+  result.cluster = sim::runCluster(copts, [&](comm::RankContext& ctx) {
     std::vector<double>& rank = replicaRanks[ctx.id()];
     std::vector<double> partial(n, 0.0);
-    comm::SimTransport transport(ctx.network());
-    comm::Collectives coll(transport, ctx.id(), comm::TagSpace::kGraphAnalytics);
+    comm::Collectives coll(ctx.transport(), ctx.id(), comm::TagSpace::kGraphAnalytics);
     const auto [lo, hi] = partition.masterRange(ctx.id());
 
     for (int iter = 0; iter < maxIters; ++iter) {
@@ -170,7 +168,7 @@ DistributedPagerankResult distributedPagerank(const CSRGraph& g, unsigned numHos
       ctx.computeTimer().stop();
 
       // Dense exchange: contribution vector + dangling mass in one reduce.
-      const sim::CommSnapshot before = sim::snapshot(ctx.commStats());
+      const comm::CommSnapshot before = comm::snapshot(ctx.commStats());
       partial.push_back(dangling);
       coll.allReduceSum(partial);
       ctx.chargeExchange(before);

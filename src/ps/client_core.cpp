@@ -20,13 +20,14 @@ ClientCore::ClientCore(const PsConfig& cfg, graph::BlockedPartition serverPartit
   if (useResidual_)
     for (int l = 0; l < graph::kNumLabels; ++l) pushResidual_[l].init(cfg_.numRows, cfg_.dim);
   delta_.resize(cfg_.dim);
-  owe_.resize(cfg_.dim);
   dec_.resize(cfg_.dim);
   tmp_.resize(cfg_.dim);
   claimSlot_.resize(cfg_.numRows);
   claimed_.assign(cfg_.numRows, 0);
   writers_.resize(numServers());
   counts_.resize(numServers());
+  asked_.resize(numServers());
+  awaiting_.assign(numServers(), 0);
 }
 
 std::vector<std::vector<std::uint8_t>> ClientCore::packGets(std::uint64_t round,
@@ -38,13 +39,18 @@ std::vector<std::vector<std::uint8_t>> ClientCore::packGets(std::uint64_t round,
   for (const std::uint32_t row : rows) ++counts_[part_.masterOf(row)];
 
   constexpr std::size_t kRowBytes = sizeof(std::uint32_t) + graph::kNumLabels * sizeof(std::uint64_t);
+  getRound_ = round;
   for (unsigned s = 0; s < servers; ++s) {
     writers_[s].reserve(sizeof(round) + sizeof(counts_[s]) + counts_[s] * kRowBytes);
     writers_[s].put(round);
     writers_[s].put(counts_[s]);
+    asked_[s].clear();
+    awaiting_[s] = 1;
   }
   for (const std::uint32_t row : rows) {
-    comm::ByteWriter& w = writers_[part_.masterOf(row)];
+    const unsigned s = part_.masterOf(row);
+    comm::ByteWriter& w = writers_[s];
+    asked_[s].push_back(row);
     w.put(row);
     if (auto hit = cache_.take(row)) {
       for (int l = 0; l < graph::kNumLabels; ++l) w.put(hit->ver[l]);
@@ -63,11 +69,18 @@ std::vector<std::vector<std::uint8_t>> ClientCore::packGets(std::uint64_t round,
   return bodies;
 }
 
-void ClientCore::applyReply(graph::ModelGraph& local, comm::ByteReader& r) {
-  (void)r.get<std::uint64_t>();  // round — implied by the blocking recv order
-  const auto count = r.get<std::uint32_t>();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const auto row = r.get<std::uint32_t>();
+void ClientCore::applyReply(graph::ModelGraph& local, unsigned server, comm::ByteReader& r) {
+  if (server >= numServers() || !awaiting_[server])
+    throw std::runtime_error("ps client: reply from a server with no outstanding Get");
+  awaiting_[server] = 0;
+  if (r.get<std::uint64_t>() != getRound_)
+    throw std::runtime_error("ps client: reply for another round");
+  const std::vector<std::uint32_t>& asked = asked_[server];
+  if (r.get<std::uint32_t>() != asked.size())
+    throw std::runtime_error("ps client: reply row count differs from the Get");
+  for (const std::uint32_t row : asked) {
+    if (r.get<std::uint32_t>() != row)
+      throw std::runtime_error("ps client: reply rows differ from the Get");
     // The refreshed entry starts from the claimed one (its unchanged labels
     // are exactly what the server refers back to) or recycles a retired
     // entry's storage; either way the steady state allocates nothing.
@@ -81,7 +94,9 @@ void ClientCore::applyReply(graph::ModelGraph& local, comm::ByteReader& r) {
     }
     for (int l = 0; l < graph::kNumLabels; ++l) {
       const auto ver = r.get<std::uint64_t>();
-      const bool fresh = r.get<std::uint8_t>() != 0;
+      const auto freshByte = r.get<std::uint8_t>();
+      if (freshByte > 1) throw std::runtime_error("ps client: fresh flag is not 0 or 1");
+      const bool fresh = freshByte != 0;
       const auto dst = local.overwriteRow(asLabel(l), row);
       if (fresh) {
         readEncodedRow(r, cfg_.codec, tmp_);
@@ -90,7 +105,7 @@ void ClientCore::applyReply(graph::ModelGraph& local, comm::ByteReader& r) {
         ++stats_.valuesFresh;
       } else {
         if (!wasClaimed || entry.ver[l] != ver)
-          throw std::logic_error("ps client: server said 'unchanged' for a row we never claimed");
+          throw std::runtime_error("ps client: 'unchanged' for a row version never claimed");
         util::copyInto(std::span<const float>(entry.values[l]), dst);
         ++stats_.valuesCached;
       }
@@ -98,6 +113,7 @@ void ClientCore::applyReply(graph::ModelGraph& local, comm::ByteReader& r) {
     }
     if (auto displaced = cache_.put(row, std::move(entry))) spare_.push_back(std::move(*displaced));
   }
+  if (!r.done()) throw std::runtime_error("ps client: trailing bytes after the reply");
 }
 
 void ClientCore::packAdds(const graph::ModelGraph& local, std::uint64_t clock,
@@ -118,18 +134,11 @@ void ClientCore::packAdds(const graph::ModelGraph& local, std::uint64_t clock,
     local.table(asLabel(l)).forEachDelta(
         [&](std::uint32_t row, std::span<const float> base, std::span<const float> cur) {
           util::sub(cur, base, delta_);
-          const float* ship = delta_.data();
           if (useResidual_) {
-            const auto res = pushResidual_[l].untrackedRow(row);
-            for (std::uint32_t i = 0; i < cfg_.dim; ++i) owe_[i] = delta_[i] + res[i];
-            ship = owe_.data();
-          }
-          comm::encodeRowValues(cfg_.codec, std::span<const float>(ship, cfg_.dim),
-                                encScratch_.data());
-          if (useResidual_) {
-            const auto res = pushResidual_[l].untrackedRow(row);
-            comm::decodeRowValues(cfg_.codec, encScratch_.data(), dec_);
-            for (std::uint32_t i = 0; i < cfg_.dim; ++i) res[i] = owe_[i] - dec_[i];
+            comm::encodeWithFeedback(cfg_.codec, delta_, pushResidual_[l].untrackedRow(row),
+                                     encScratch_.data(), dec_);
+          } else {
+            comm::encodeRowValues(cfg_.codec, delta_, encScratch_.data());
           }
           const unsigned s = part_.masterOf(row);
           entries[s].push_back({static_cast<std::uint8_t>(l), row});

@@ -18,7 +18,11 @@
 //               decode from the wire and refresh the cache; unchanged rows
 //               copy from the claim. Cache capacity therefore changes wire
 //               bytes only, never model bits — a cached value at version v is
-//               byte-identical to the server's encode-once reply at v.
+//               byte-identical to the server's encode-once reply at v. The
+//               reply comes off the wire, so it must carry the Get's round
+//               and exactly the rows asked of that server, in order, with
+//               0/1 fresh flags and nothing after them; anything else throws
+//               std::runtime_error before a row id indexes anything.
 //   packAdds    walk both labels' dirty sets (EmbeddingTable first-touch
 //               DeltaLog gives delta = current - baseline), apply client-side
 //               error-feedback residuals under lossy codecs, and emit the
@@ -59,8 +63,9 @@ class ClientCore {
   std::vector<std::vector<std::uint8_t>> packGets(std::uint64_t round,
                                                   std::span<const std::uint32_t> rows);
 
-  /// Apply one server's reply body to the local model + cache.
-  void applyReply(graph::ModelGraph& local, comm::ByteReader& r);
+  /// Apply `server`'s reply body (the rest of `r`) to the local model +
+  /// cache; throws std::runtime_error unless it answers this round's Get.
+  void applyReply(graph::ModelGraph& local, unsigned server, comm::ByteReader& r);
 
   using EmitChunk = std::function<void(unsigned server, std::vector<std::uint8_t> chunkBody)>;
 
@@ -88,6 +93,10 @@ class ClientCore {
   std::vector<std::uint8_t> claimed_;
   std::vector<std::uint32_t> claimedRows_;
   std::vector<CacheEntry> spare_;  // retired entries recycled for their capacity
+  // The outstanding Get per server: its round, and the rows asked, ascending.
+  std::uint64_t getRound_ = 0;
+  std::vector<std::vector<std::uint32_t>> asked_;
+  std::vector<std::uint8_t> awaiting_;
   std::vector<comm::ByteWriter> writers_;
   std::vector<std::uint32_t> counts_;
 
@@ -96,7 +105,6 @@ class ClientCore {
 
   // Scratch reused across rounds.
   std::vector<float> delta_;
-  std::vector<float> owe_;
   std::vector<float> dec_;
   std::vector<float> tmp_;
   std::vector<std::uint8_t> encScratch_;

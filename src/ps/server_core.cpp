@@ -198,12 +198,9 @@ void ServerCore::encodeForReply(int label, std::uint32_t row) {
   const std::size_t vb = comm::codecValueBytes(cfg_.codec, cfg_.dim);
   std::uint8_t* out =
       replyCache_[label].data() + static_cast<std::size_t>(row - ownRange_.first) * vb;
-  const std::span<const float> canon = canon_.row(asLabel(label), row);
-  const auto res = replyResidual_[label].untrackedRow(row);
-  for (std::uint32_t i = 0; i < cfg_.dim; ++i) owe_[i] = canon[i] + res[i];
-  comm::encodeRowValues(cfg_.codec, owe_, out);
-  comm::decodeRowValues(cfg_.codec, out, dec_);
-  for (std::uint32_t i = 0; i < cfg_.dim; ++i) res[i] = owe_[i] - dec_[i];
+  util::copyInto(canon_.row(asLabel(label), row), owe_);
+  comm::encodeWithFeedback(cfg_.codec, owe_, replyResidual_[label].untrackedRow(row), out,
+                           dec_);
   replyCacheValid_[label].set(row - ownRange_.first);
 }
 

@@ -6,7 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "comm/transport.h"
+#include "comm/rank_context.h"
 #include "ps/protocol.h"
 #include "ps/worker.h"
 #include "sim/virtual_time.h"
@@ -44,8 +44,8 @@ PsResult trainAsyncPs(const text::Vocabulary& vocab, std::span<const text::WordI
   std::vector<std::vector<detail::EpochRec>> workerEpochs(numWorkers);
   for (auto& v : workerEpochs) v.resize(opts.epochs);
 
-  const auto body = [&](sim::HostContext& ctx) {
-    comm::SimTransport net(ctx.network());
+  const auto body = [&](comm::RankContext& ctx) {
+    comm::Transport& net = ctx.transport();
     const auto [tagLo, tagHi] = comm::tagSpaceRange(comm::TagSpace::kPs);
     net.registerTagRange(tagLo, tagHi, comm::tagSpaceName(comm::TagSpace::kPs));
     const unsigned me = ctx.id();
@@ -116,7 +116,7 @@ PsResult trainAsyncPs(const text::Vocabulary& vocab, std::span<const text::WordI
         cpuMark = util::ThreadCpuTimer::now();  // blocked time is not compute
         vt.observeArrival(me, arriveVt);
         ctx.computeTimer().start();
-        ws.client().applyReply(ws.local(), r);
+        ws.client().applyReply(ws.local(), s, r);
         ctx.computeTimer().stop();
       }
       ctx.computeTimer().start();

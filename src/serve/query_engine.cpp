@@ -6,6 +6,7 @@
 #include <cmath>
 #include <functional>
 #include <stdexcept>
+#include <thread>
 
 #include "comm/serialize.h"
 #include "util/rng.h"
@@ -131,6 +132,31 @@ void QueryEngine::run() {
   lock.unlock();
   pin_.release();
   coll_.broadcast({}, 0);  // the empty round: stop
+}
+
+void QueryEngine::runWithClient(const std::function<void(QueryEngine&)>& client) {
+  if (me_ != 0) {
+    run();
+    return;
+  }
+  std::exception_ptr clientError;
+  std::thread clientThread([&] {
+    try {
+      client(*this);
+    } catch (...) {
+      clientError = std::current_exception();
+    }
+    shutdown();
+  });
+  std::exception_ptr runError;
+  try {
+    run();
+  } catch (...) {
+    runError = std::current_exception();
+  }
+  clientThread.join();
+  if (runError) std::rethrow_exception(runError);
+  if (clientError) std::rethrow_exception(clientError);
 }
 
 QueryResult QueryEngine::query(std::vector<float> vec, unsigned k,

@@ -28,7 +28,7 @@
 // truncated or trailing bytes — and throw std::runtime_error on a malformed
 // one. Rank 0 checks each gathered list the same way before the merge: at
 // most its query's k entries, finite scores, strictly descending under
-// `better`. A round that fails (a malformed reply, or sim::NetworkAborted
+// `better`. A round that fails (a malformed reply, or comm::NetworkAborted
 // after a worker died) fails every request in it and every request still
 // queued with its error; later queries that miss the cache and rank 0's
 // run() rethrow it. Query traffic lands in the ranks' CommStats, so
@@ -52,6 +52,7 @@
 #include <cstdint>
 #include <deque>
 #include <exception>
+#include <functional>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -114,6 +115,12 @@ class QueryEngine {
   /// rounds until the stop round; a malformed round throws
   /// std::runtime_error.
   void run();
+
+  /// SPMD entry with rank 0's client. Rank 0 runs `client(*this)` on a
+  /// thread of its own and then shutdown(), while run() serves on the calling
+  /// thread; the client thread is joined on every path, and run()'s error is
+  /// rethrown, else the client's. Other ranks just call run().
+  void runWithClient(const std::function<void(QueryEngine&)>& client);
 
   /// Rank 0, thread-safe, blocking; the calling thread may lead the round.
   /// `vec` must have snapshot dim finite elements (std::invalid_argument

@@ -1,7 +1,12 @@
 #include "sim/cluster.h"
 
+#include <exception>
+#include <memory>
 #include <stdexcept>
 #include <thread>
+
+#include "comm/transport.h"
+#include "util/timer.h"
 
 namespace gw2v::sim {
 
@@ -10,10 +15,12 @@ ClusterReport runCluster(const ClusterOptions& opts,
   if (opts.numHosts == 0) throw std::invalid_argument("runCluster: numHosts must be >= 1");
 
   Network net(opts.numHosts);
+  comm::SimTransport transport(net);
   std::vector<std::unique_ptr<HostContext>> contexts;
   contexts.reserve(opts.numHosts);
   for (HostId h = 0; h < opts.numHosts; ++h) {
-    contexts.push_back(std::make_unique<HostContext>(h, net, opts.workerThreadsPerHost));
+    contexts.push_back(
+        std::make_unique<HostContext>(h, net, transport, opts.workerThreadsPerHost));
   }
 
   util::WallTimer wall;
@@ -27,7 +34,7 @@ ClusterReport runCluster(const ClusterOptions& opts,
       } catch (...) {
         errors[h] = std::current_exception();
         // Poison the fabric so peers blocked in recv/barrier wake up with
-        // NetworkAborted instead of deadlocking.
+        // comm::NetworkAborted instead of deadlocking.
         net.abort();
       }
     });
@@ -39,7 +46,7 @@ ClusterReport runCluster(const ClusterOptions& opts,
     if (!e) continue;
     try {
       std::rethrow_exception(e);
-    } catch (const NetworkAborted&) {
+    } catch (const comm::NetworkAborted&) {
       if (!firstAbort) firstAbort = e;
     } catch (...) {
       std::rethrow_exception(e);

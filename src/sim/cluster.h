@@ -1,77 +1,34 @@
 #pragma once
 
 // SPMD launcher: runs the same program body on H simulated hosts, each a
-// thread with its own HostContext (id, network endpoint, worker pool, and
-// the host's one clock: CPU busy time, modelled communication and the sync
-// breakdown). This is the distributed-execution substrate standing in for
-// the paper's 32-node Azure cluster — see DESIGN.md for the substitution
-// rationale.
+// thread with its own HostContext — the rank context (comm/rank_context.h:
+// id, transport, worker pool and the host's one clock) over the run's one
+// SimTransport, plus the simulated network underneath it. This is the
+// distributed-execution substrate standing in for the paper's 32-node Azure
+// cluster — see DESIGN.md for the substitution rationale.
 
-#include <exception>
+#include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
-#include "runtime/thread_pool.h"
-#include "sim/comm_stats.h"
+#include "comm/comm_stats.h"
+#include "comm/rank_context.h"
 #include "sim/network.h"
-#include "sim/network_model.h"
-#include "util/timer.h"
 
 namespace gw2v::sim {
 
-/// Wall seconds of the sync critical path, by stage: pack, exchange (time
-/// blocked draining the fabric), fold and apply. comm::SyncEngine adds to
-/// these on the host thread every round.
-struct SyncPhaseSeconds {
-  double pack = 0.0;
-  double exchange = 0.0;
-  double fold = 0.0;
-  double apply = 0.0;
-
-  double total() const noexcept { return pack + exchange + fold + apply; }
-};
-
-/// One simulated host's view of the cluster, and its clock: the compute it
-/// spent, the communication it was charged and its sync breakdown.
-class HostContext {
+/// One simulated host: the rank context every engine and body is written
+/// against, plus the network it runs on, for code that drives the fabric
+/// directly.
+class HostContext : public comm::RankContext {
  public:
-  HostContext(HostId id, Network& net, unsigned workerThreads)
-      : id_(id), net_(net), pool_(workerThreads) {}
+  HostContext(HostId id, Network& net, comm::Transport& transport, unsigned workerThreads)
+      : comm::RankContext(id, transport, workerThreads), net_(net) {}
 
-  HostId id() const noexcept { return id_; }
-  unsigned numHosts() const noexcept { return net_.numHosts(); }
   Network& network() noexcept { return net_; }
-  runtime::ThreadPool& pool() noexcept { return pool_; }
-
-  void barrier() { net_.barrier(id_); }
-
-  CommStats& commStats() noexcept { return net_.statsFor(id_); }
-
-  /// Accumulated compute busy time; wrap compute sections in
-  /// computeTimer().start()/stop(). On a 1-core machine this still measures
-  /// the host's own CPU seconds correctly.
-  util::CpuStopwatch& computeTimer() noexcept { return compute_; }
-  double computeSeconds() const noexcept { return compute_.seconds(); }
-
-  /// Charge this host for its traffic since `before` (bytes sent and
-  /// received, messages, collective rounds), priced by the default
-  /// NetworkModel — the paper's 56 Gb/s, 2 us fabric. Call it on the host
-  /// thread once the window's messages are drained.
-  void chargeExchange(const CommSnapshot& before) noexcept {
-    simComm_ += NetworkModel{}.exchangeSeconds(delta(before, snapshot(commStats())));
-  }
-  double modelledCommSeconds() const noexcept { return simComm_; }
-
-  SyncPhaseSeconds& syncSeconds() noexcept { return sync_; }
 
  private:
-  HostId id_;
   Network& net_;
-  runtime::ThreadPool pool_;
-  util::CpuStopwatch compute_;
-  double simComm_ = 0.0;
-  SyncPhaseSeconds sync_{};
 };
 
 struct ClusterOptions {
@@ -83,8 +40,8 @@ struct ClusterOptions {
 struct HostReport {
   double computeSeconds = 0.0;
   double modelledCommSeconds = 0.0;
-  CommSnapshot comm{};
-  SyncPhaseSeconds sync{};
+  comm::CommSnapshot comm{};
+  comm::SyncPhaseSeconds sync{};
 };
 
 struct ClusterReport {
@@ -118,8 +75,8 @@ struct ClusterReport {
   }
   /// Per-phase maxima across hosts — the straggler view of where sync wall
   /// time goes (pack/exchange/fold/apply).
-  SyncPhaseSeconds maxSyncPhaseSeconds() const noexcept {
-    SyncPhaseSeconds worst{};
+  comm::SyncPhaseSeconds maxSyncPhaseSeconds() const noexcept {
+    comm::SyncPhaseSeconds worst{};
     for (const auto& h : hosts) {
       worst.pack = h.sync.pack > worst.pack ? h.sync.pack : worst.pack;
       worst.exchange = h.sync.exchange > worst.exchange ? h.sync.exchange : worst.exchange;

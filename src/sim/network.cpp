@@ -13,7 +13,7 @@ Network::Network(unsigned numHosts)
 
 void Network::send(HostId src, HostId dst, int tag, std::vector<std::uint8_t> payload) {
   assert(src < numHosts_ && dst < numHosts_);
-  if (aborted()) throw NetworkAborted();
+  if (aborted()) throw comm::NetworkAborted();
   stats_[src].recordSend(payload.size() + kHeaderBytes);
   Mailbox& mb = mailboxes_[dst];
   {
@@ -28,7 +28,7 @@ std::vector<std::uint8_t> Network::recv(HostId dst, HostId src, int tag) {
   Mailbox& mb = mailboxes_[dst];
   std::unique_lock<std::mutex> lock(mb.mutex);
   for (;;) {
-    if (aborted()) throw NetworkAborted();
+    if (aborted()) throw comm::NetworkAborted();
     const auto it = std::find_if(mb.messages.begin(), mb.messages.end(), [&](const Message& m) {
       return m.src == src && m.tag == tag;
     });
@@ -47,7 +47,7 @@ std::pair<HostId, std::vector<std::uint8_t>> Network::recvAny(HostId dst, int ta
   Mailbox& mb = mailboxes_[dst];
   std::unique_lock<std::mutex> lock(mb.mutex);
   for (;;) {
-    if (aborted()) throw NetworkAborted();
+    if (aborted()) throw comm::NetworkAborted();
     const auto it = std::find_if(mb.messages.begin(), mb.messages.end(),
                                  [&](const Message& m) { return m.tag == tag; });
     if (it != mb.messages.end()) {
@@ -62,7 +62,7 @@ std::pair<HostId, std::vector<std::uint8_t>> Network::recvAny(HostId dst, int ta
 
 void Network::barrier(HostId /*host*/) {
   std::unique_lock<std::mutex> lock(barrierMutex_);
-  if (aborted()) throw NetworkAborted();
+  if (aborted()) throw comm::NetworkAborted();
   const std::uint64_t gen = barrierGeneration_;
   if (++barrierCount_ == numHosts_) {
     barrierCount_ = 0;
@@ -74,7 +74,7 @@ void Network::barrier(HostId /*host*/) {
       // Leave the count consistent for any post-mortem inspection; the run
       // is over either way.
       --barrierCount_;
-      throw NetworkAborted();
+      throw comm::NetworkAborted();
     }
   }
 }

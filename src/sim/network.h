@@ -16,21 +16,14 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "sim/comm_stats.h"
+#include "comm/comm_stats.h"
 
 namespace gw2v::sim {
 
 using HostId = unsigned;
-
-/// Thrown out of blocking operations on all surviving hosts after abort():
-/// a faulted host poisons the fabric instead of deadlocking its peers.
-struct NetworkAborted : std::runtime_error {
-  NetworkAborted() : std::runtime_error("simulated network aborted by a faulted host") {}
-};
 
 class Network {
  public:
@@ -57,12 +50,12 @@ class Network {
   void barrier(HostId host);
 
   /// Poison the network: every blocked or future blocking call throws
-  /// NetworkAborted. Called when a host dies with an exception.
+  /// comm::NetworkAborted. Called when a host dies with an exception.
   void abort() noexcept;
   bool aborted() const noexcept { return aborted_.load(std::memory_order_acquire); }
 
   /// Register a half-open tag range [lo, hi) as owned by `owner`. Subsystems
-  /// that mint tags above kInternalTagBase (Collectives spaces, the parameter
+  /// that mint tags above comm::kInternalTagBase (Collectives spaces, the parameter
   /// server) declare their block here so a mis-assigned TagSpace fails fast
   /// instead of silently cross-delivering messages. Re-registering the exact
   /// same (owner, range) is a no-op (every rank constructs its own
@@ -70,8 +63,8 @@ class Network {
   /// under the same owner, throws std::logic_error.
   void registerTagRange(int lo, int hi, const char* owner);
 
-  CommStats& statsFor(HostId host) noexcept { return stats_[host]; }
-  const CommStats& statsFor(HostId host) const noexcept { return stats_[host]; }
+  comm::CommStats& statsFor(HostId host) noexcept { return stats_[host]; }
+  const comm::CommStats& statsFor(HostId host) const noexcept { return stats_[host]; }
 
  private:
   struct Message {
@@ -95,7 +88,7 @@ class Network {
   unsigned numHosts_;
   std::atomic<bool> aborted_{false};
   std::vector<Mailbox> mailboxes_;
-  std::vector<CommStats> stats_;
+  std::vector<comm::CommStats> stats_;
 
   std::mutex tagRangeMutex_;
   std::vector<TagRange> tagRanges_;
@@ -105,8 +98,5 @@ class Network {
   unsigned barrierCount_ = 0;
   std::uint64_t barrierGeneration_ = 0;
 };
-
-/// Reserved tag ranges: user code must stay below kInternalTagBase.
-inline constexpr int kInternalTagBase = 1 << 24;
 
 }  // namespace gw2v::sim

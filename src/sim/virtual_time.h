@@ -33,13 +33,13 @@
 #include <vector>
 
 #include "sim/network.h"
-#include "sim/network_model.h"
+#include "comm/network_model.h"
 
 namespace gw2v::sim {
 
 class VirtualTimeBoard {
  public:
-  explicit VirtualTimeBoard(unsigned numHosts, NetworkModel model = {})
+  explicit VirtualTimeBoard(unsigned numHosts, comm::NetworkModel model = {})
       : model_(model), clock_(numHosts), nicFree_(numHosts) {}
 
   unsigned numHosts() const noexcept { return static_cast<unsigned>(clock_.size()); }
@@ -91,7 +91,7 @@ class VirtualTimeBoard {
     void store(double x) noexcept { v.store(x, std::memory_order_relaxed); }
   };
 
-  NetworkModel model_;
+  comm::NetworkModel model_;
   std::vector<Cell> clock_;
   std::vector<Cell> nicFree_;
 };

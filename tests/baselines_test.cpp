@@ -2,8 +2,8 @@
 
 #include <vector>
 
-#include "baselines/parameter_server.h"
 #include "baselines/shared_memory.h"
+#include "ps/trainer.h"
 #include "util/rng.h"
 
 namespace gw2v::baselines {
@@ -149,23 +149,37 @@ TEST(Batched, LargerBatchesStillConverge) {
   EXPECT_LT(r.epochs.back().avgLoss, r.epochs.front().avgLoss);
 }
 
+/// The classic single parameter server of Fig 3 as a configuration of the
+/// async PS: one server, every round a BSP window, raw-SUM folds, fp32 wire,
+/// no row cache.
+ps::PsTrainOptions singleServerPs() {
+  ps::PsTrainOptions o;
+  o.sgns = smOpts().sgns;
+  o.numServers = 1;
+  o.staleness = 0;
+  o.reduction = core::Reduction::kSum;
+  o.codec = comm::SyncCodec::kFp32;
+  o.cacheRows = 0;
+  o.trackLoss = false;
+  return o;
+}
+
 TEST(ParameterServer, RequiresTwoHosts) {
   const auto vocab = makeVocab(10);
   const auto corpus = randomCorpus(10, 100, 8);
-  ParameterServerOptions o;
+  ps::PsTrainOptions o = singleServerPs();
   o.numHosts = 1;
-  EXPECT_THROW(trainParameterServer(vocab, corpus, o), std::invalid_argument);
+  EXPECT_THROW(ps::trainAsyncPs(vocab, corpus, o), std::invalid_argument);
 }
 
 TEST(ParameterServer, TrainsAndUpdatesModel) {
   const auto vocab = makeVocab(20);
   const auto corpus = randomCorpus(20, 2000, 9);
-  ParameterServerOptions o;
-  o.sgns = smOpts().sgns;
+  ps::PsTrainOptions o = singleServerPs();
   o.epochs = 2;
   o.roundsPerEpoch = 4;
   o.numHosts = 3;
-  const auto r = trainParameterServer(vocab, corpus, o);
+  const auto r = ps::trainAsyncPs(vocab, corpus, o);
   EXPECT_GT(r.totalExamples, 0u);
   // Model must have moved away from pure init (training vectors start 0).
   bool moved = false;
@@ -181,12 +195,11 @@ TEST(ParameterServer, TrainsAndUpdatesModel) {
 TEST(ParameterServer, TwoWorkersShareCorpus) {
   const auto vocab = makeVocab(15);
   const auto corpus = randomCorpus(15, 1000, 10);
-  ParameterServerOptions o;
-  o.sgns = smOpts().sgns;
+  ps::PsTrainOptions o = singleServerPs();
   o.epochs = 1;
   o.roundsPerEpoch = 2;
   o.numHosts = 3;
-  const auto r = trainParameterServer(vocab, corpus, o);
+  const auto r = ps::trainAsyncPs(vocab, corpus, o);
   // Both workers processed roughly half the corpus worth of examples:
   // ensure the total is in a sane band (window 3 => up to ~2*3 pairs/token).
   EXPECT_GT(r.totalExamples, 500u);

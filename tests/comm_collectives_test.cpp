@@ -282,7 +282,7 @@ TEST(Collectives, AbortMidCollectivePropagatesToAllRanks) {
           coll.allReduceSum(v, algo);
           // A rank may squeak through if it finished before the poison hit;
           // with rank 2 never sending, at least one peer of 2 cannot.
-        } catch (const sim::NetworkAborted&) {
+        } catch (const comm::NetworkAborted&) {
           aborted.fetch_add(1);
         }
       });

@@ -104,7 +104,7 @@ void expectRejected(const Exchange& exchange) {
   try {
     exchange();
     ADD_FAILURE() << "malformed payload was accepted";
-  } catch (const sim::NetworkAborted& e) {
+  } catch (const comm::NetworkAborted& e) {
     ADD_FAILURE() << "only abort fallout surfaced: " << e.what();
   } catch (const std::runtime_error&) {
   }
@@ -137,7 +137,7 @@ void runRowExchange(SyncCodec codec, Stage stage, const Bytes& crafted,
       engine.sync();
       return;
     }
-    SimTransport transport(ctx.network());
+    comm::Transport& transport = ctx.transport();
     Collectives coll(transport, ctx.id(), TagSpace::kModelSync);
     std::vector<Bytes> toPeer(2), from(2);
     if (strategy == SyncStrategy::kPullModel) {
@@ -245,7 +245,7 @@ void runScalarExchange(bool broadcast, const Bytes& crafted, std::vector<float>&
       engine.sync();
       return;
     }
-    SimTransport transport(ctx.network());
+    comm::Transport& transport = ctx.transport();
     Collectives coll(transport, ctx.id(), TagSpace::kScalarSync);
     std::vector<Bytes> toPeer(2), from(2);
     toPeer[0] = broadcast ? scalarPayload({}) : crafted;

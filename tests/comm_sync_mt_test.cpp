@@ -134,7 +134,7 @@ TEST(SyncMt, BitIdenticalAcrossThreadCounts) {
 
 TEST(SyncMt, PhaseBreakdownSurfacedInClusterReport) {
   const MtRun run = runScripted(4, 2, comm::SyncStrategy::kRepModelOpt, {});
-  const sim::SyncPhaseSeconds worst = run.report.maxSyncPhaseSeconds();
+  const comm::SyncPhaseSeconds worst = run.report.maxSyncPhaseSeconds();
   EXPECT_GT(worst.pack, 0.0);
   EXPECT_GT(worst.fold, 0.0);
   EXPECT_GT(worst.apply, 0.0);

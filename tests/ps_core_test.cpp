@@ -14,11 +14,14 @@
 #include "comm/reducer.h"
 #include "comm/serialize.h"
 #include "graph/model_graph.h"
+#include "graph/partition.h"
+#include "ps/client_core.h"
 #include "ps/protocol.h"
 
 // Transport-free protocol tests: hand-built Get/Add bodies driven straight
 // into ServerCore, asserting the block-SSP serve/fold rules, version math,
-// and the encode-once lossy reply cache.
+// and the encode-once lossy reply cache; and hand-built replies driven into
+// ClientCore.
 
 namespace gw2v::ps {
 namespace {
@@ -436,6 +439,77 @@ TEST(PsServerCore, RejectsMalformedRequests) {
     core->pump(sink.fn());
     ASSERT_EQ(core->commitLevel(), 1u);
     EXPECT_THROW(feedAdd(*core, 0, addBody(cfg, 0, {})), std::runtime_error);
+  }
+}
+
+/// Reply body for `rows` at `round`: every value sent with flag `fresh` at
+/// version 0, row r's values all r + label.
+std::vector<std::uint8_t> replyBody(const PsConfig& cfg, std::uint64_t round,
+                                    const std::vector<std::uint32_t>& rows,
+                                    std::uint8_t fresh = 1) {
+  comm::ByteWriter w;
+  w.put(round);
+  w.put(static_cast<std::uint32_t>(rows.size()));
+  std::vector<std::uint8_t> scratch;
+  for (const std::uint32_t row : rows) {
+    w.put(row);
+    for (int l = 0; l < graph::kNumLabels; ++l) {
+      w.put(std::uint64_t{0});
+      w.put(fresh);
+      writeEncodedRow(w, cfg.codec, std::vector<float>(cfg.dim, static_cast<float>(row + l)),
+                      scratch);
+    }
+  }
+  return w.take();
+}
+
+TEST(PsClientCore, RejectsMalformedReplies) {
+  // Reply fields come off the wire: a worker that asked server 0 for rows
+  // {1, 2} and server 1 for row {5} in round 3 must reject every crafted
+  // body below with std::runtime_error, before a bad id indexes anything.
+  const auto cfg = config(0);
+  const graph::BlockedPartition servers(kRows, 2);
+  graph::ModelGraph local(kRows, kDim);
+  const auto apply = [&](const std::vector<std::uint8_t>& body, unsigned server = 0) {
+    ClientCore client(cfg, servers);
+    (void)client.packGets(3, std::vector<std::uint32_t>{1, 2, 5});
+    comm::ByteReader r(body);
+    client.applyReply(local, server, r);
+  };
+
+  // The well-formed control, to either server, writes the rows it carries.
+  EXPECT_NO_THROW(apply(replyBody(cfg, 3, {1, 2})));
+  EXPECT_NO_THROW(apply(replyBody(cfg, 3, {5}), 1));
+  EXPECT_EQ(local.row(graph::Label::kTraining, 2)[0], 3.0f);
+  EXPECT_EQ(local.row(graph::Label::kEmbedding, 5)[kDim - 1], 5.0f);
+
+  EXPECT_THROW(apply(replyBody(cfg, 3, {1, kRows})), std::runtime_error);  // out of range
+  EXPECT_THROW(apply(replyBody(cfg, 3, {1, 3})), std::runtime_error);      // not requested
+  EXPECT_THROW(apply(replyBody(cfg, 3, {1, 1})), std::runtime_error);      // repeated
+  EXPECT_THROW(apply(replyBody(cfg, 3, {5})), std::runtime_error);         // other server's
+  EXPECT_THROW(apply(replyBody(cfg, 3, {1})), std::runtime_error);         // short
+  EXPECT_THROW(apply(replyBody(cfg, 4, {1, 2})), std::runtime_error);      // wrong round
+  EXPECT_THROW(apply(replyBody(cfg, 3, {1, 2}, 2)), std::runtime_error);   // fresh = 2
+  EXPECT_THROW(apply(replyBody(cfg, 3, {1, 2}), 2), std::runtime_error);   // no such server
+  {
+    auto body = replyBody(cfg, 3, {1, 2});
+    body.pop_back();
+    EXPECT_THROW(apply(body), std::runtime_error);  // truncated
+  }
+  {
+    auto body = replyBody(cfg, 3, {1, 2});
+    body.push_back(0);
+    EXPECT_THROW(apply(body), std::runtime_error);  // trailing byte
+  }
+  {
+    // A second reply to the same Get.
+    ClientCore client(cfg, servers);
+    (void)client.packGets(3, std::vector<std::uint32_t>{1, 2});
+    const auto body = replyBody(cfg, 3, {1, 2});
+    comm::ByteReader first(body);
+    client.applyReply(local, 0, first);
+    comm::ByteReader again(body);
+    EXPECT_THROW(client.applyReply(local, 0, again), std::runtime_error);
   }
 }
 

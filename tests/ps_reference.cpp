@@ -82,7 +82,7 @@ PsResult trainPsReference(const text::Vocabulary& vocab, std::span<const text::W
         if (!got)
           throw std::logic_error("ps reference: Get not served at its pinned commit level");
         comm::ByteReader r(reply);
-        ws.client().applyReply(ws.local(), r);
+        ws.client().applyReply(ws.local(), s, r);
       }
       epochLoss[w] += ws.computeRound(round);
       ws.client().packAdds(ws.local(), round,

@@ -11,11 +11,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "comm/transport.h"
@@ -312,37 +310,13 @@ text::Vocabulary makeVocab(std::uint32_t n) {
   return v;
 }
 
-/// Runs `client` on a rank-0 client thread against an H-host engine; the
-/// thread is joined on every path and an exception out of `client` is
-/// rethrown once rank 0's run() has returned.
+/// Runs `client` on a rank-0 client thread against an H-host engine.
 void runServe(unsigned numHosts, const SnapshotStore& store, ServeOptions opts,
               const std::function<void(QueryEngine&)>& client) {
   sim::ClusterOptions copts;
   copts.numHosts = numHosts;
-  sim::runCluster(copts, [&](sim::HostContext& ctx) {
-    comm::SimTransport transport(ctx.network());
-    QueryEngine engine(transport, ctx.id(), store, opts);
-    if (ctx.id() != 0) {
-      engine.run();
-      return;
-    }
-    std::exception_ptr clientError;
-    std::thread clientThread([&] {
-      try {
-        client(engine);
-      } catch (...) {
-        clientError = std::current_exception();
-      }
-      engine.shutdown();
-    });
-    try {
-      engine.run();
-    } catch (...) {
-      clientThread.join();
-      throw;
-    }
-    clientThread.join();
-    if (clientError) std::rethrow_exception(clientError);
+  sim::runCluster(copts, [&](comm::RankContext& ctx) {
+    QueryEngine(ctx.transport(), ctx.id(), store, opts).runWithClient(client);
   });
 }
 

@@ -121,7 +121,7 @@ Bytes runRound(const std::shared_ptr<const EmbeddingSnapshot>& snap, const Bytes
   sim::ClusterOptions copts;
   copts.numHosts = 2;
   sim::runCluster(copts, [&](sim::HostContext& ctx) {
-    comm::SimTransport transport(ctx.network());
+    comm::Transport& transport = ctx.transport();
     if (ctx.id() == 1) {
       QueryEngine engine(transport, ctx.id(), store);
       engine.run();
@@ -149,7 +149,7 @@ TEST_P(ServeMalformed, WorkerRejectsRound) {
   try {
     runRound(snap, GetParam().round);
     ADD_FAILURE() << "malformed round was accepted";
-  } catch (const sim::NetworkAborted& e) {
+  } catch (const comm::NetworkAborted& e) {
     ADD_FAILURE() << "only abort fallout surfaced: " << e.what();
   } catch (const std::runtime_error&) {
   }
@@ -234,7 +234,7 @@ ReplyOutcome runReply(const std::shared_ptr<const EmbeddingSnapshot>& snap, cons
   copts.numHosts = 2;
   try {
     sim::runCluster(copts, [&](sim::HostContext& ctx) {
-      comm::SimTransport transport(ctx.network());
+      comm::Transport& transport = ctx.transport();
       if (ctx.id() == 1) {
         comm::Collectives coll(transport, ctx.id(), comm::TagSpace::kServe);
         const Bytes round = coll.broadcast({}, 0);
@@ -275,7 +275,7 @@ void expectRootRuntimeError(const std::exception_ptr& e, const char* where) {
   }
   try {
     std::rethrow_exception(e);
-  } catch (const sim::NetworkAborted& a) {
+  } catch (const comm::NetworkAborted& a) {
     ADD_FAILURE() << where << ": only abort fallout surfaced: " << a.what();
   } catch (const std::runtime_error&) {
   } catch (...) {
@@ -344,7 +344,7 @@ TEST(ServeMalformedReplyControl, FailedRoundFailsEveryQueuedQuery) {
   copts.numHosts = 2;
   try {
     sim::runCluster(copts, [&](sim::HostContext& ctx) {
-      comm::SimTransport transport(ctx.network());
+      comm::Transport& transport = ctx.transport();
       if (ctx.id() == 1) {
         comm::Collectives coll(transport, ctx.id(), comm::TagSpace::kServe);
         const Bytes round = coll.broadcast({}, 0);

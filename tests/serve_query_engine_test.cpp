@@ -47,37 +47,13 @@ graph::ModelGraph makeModel(std::uint64_t seed) {
 }
 
 /// Runs `client` against a QueryEngine front-end on an H-host simulated
-/// cluster; every rank participates in the scoring rounds. The client thread
-/// is joined on every path, and an exception out of `client` is rethrown
-/// once rank 0's run() has returned.
+/// cluster; every rank participates in the scoring rounds.
 void runServe(unsigned numHosts, const SnapshotStore& store, ServeOptions opts,
               const std::function<void(QueryEngine&)>& client) {
   sim::ClusterOptions copts;
   copts.numHosts = numHosts;
-  sim::runCluster(copts, [&](sim::HostContext& ctx) {
-    comm::SimTransport transport(ctx.network());
-    QueryEngine engine(transport, ctx.id(), store, opts);
-    if (ctx.id() != 0) {
-      engine.run();
-      return;
-    }
-    std::exception_ptr clientError;
-    std::thread clientThread([&] {
-      try {
-        client(engine);
-      } catch (...) {
-        clientError = std::current_exception();
-      }
-      engine.shutdown();
-    });
-    try {
-      engine.run();
-    } catch (...) {
-      clientThread.join();
-      throw;
-    }
-    clientThread.join();
-    if (clientError) std::rethrow_exception(clientError);
+  sim::runCluster(copts, [&](comm::RankContext& ctx) {
+    QueryEngine(ctx.transport(), ctx.id(), store, opts).runWithClient(client);
   });
 }
 
@@ -330,7 +306,7 @@ TEST(ServeQueryEngine, ShutdownServesWhatIsQueued) {
   sim::ClusterOptions copts;
   copts.numHosts = kHosts;
   sim::runCluster(copts, [&](sim::HostContext& ctx) {
-    comm::SimTransport transport(ctx.network());
+    comm::Transport& transport = ctx.transport();
     QueryEngine engine(transport, ctx.id(), store, opts);
     if (ctx.id() != 0) {
       engine.run();
@@ -400,7 +376,7 @@ TEST(ServeQueryEngine, WorkerDeathFailsEveryWaitingQuery) {
   copts.numHosts = 2;
   try {
     sim::runCluster(copts, [&](sim::HostContext& ctx) {
-      comm::SimTransport transport(ctx.network());
+      comm::Transport& transport = ctx.transport();
       if (ctx.id() == 1) {
         // Take the first round off the wire, give the other clients time to
         // queue behind it, then die instead of answering.
@@ -417,7 +393,7 @@ TEST(ServeQueryEngine, WorkerDeathFailsEveryWaitingQuery) {
             try {
               (void)engine.queryWord(c * kPerClient + i, 5);
               other.fetch_add(1);
-            } catch (const sim::NetworkAborted&) {
+            } catch (const comm::NetworkAborted&) {
               aborted.fetch_add(1);
             } catch (...) {
               other.fetch_add(1);
@@ -430,7 +406,7 @@ TEST(ServeQueryEngine, WorkerDeathFailsEveryWaitingQuery) {
       };
       try {
         engine.run();
-      } catch (const sim::NetworkAborted&) {
+      } catch (const comm::NetworkAborted&) {
         runRethrew = true;
         joinAll();
         throw;
@@ -449,13 +425,69 @@ TEST(ServeQueryEngine, WorkerDeathFailsEveryWaitingQuery) {
   EXPECT_TRUE(runRethrew.load());
 }
 
+TEST(ServeQueryEngine, RunWithClientRethrowsTheClientsError) {
+  const graph::ModelGraph model = makeModel(71);
+  const text::Vocabulary vocab = makeVocab(kVocab);
+  SnapshotStore store(8);
+  store.publish(std::make_shared<const EmbeddingSnapshot>(model, &vocab, 1));
+
+  for (const unsigned numHosts : {1u, 2u}) {
+    try {
+      runServe(numHosts, store, {}, [&](QueryEngine& engine) {
+        (void)engine.queryWord(3, 5);
+        throw std::logic_error("client gave up");
+      });
+      ADD_FAILURE() << "runCluster returned after the client threw";
+    } catch (const std::logic_error& e) {
+      EXPECT_STREQ(e.what(), "client gave up");
+    }
+  }
+}
+
+TEST(ServeQueryEngine, RunWithClientEndsAWorkerDeathAsAnError) {
+  const graph::ModelGraph model = makeModel(73);
+  const text::Vocabulary vocab = makeVocab(kVocab);
+  SnapshotStore store(8);
+  store.publish(std::make_shared<const EmbeddingSnapshot>(model, &vocab, 1));
+
+  ServeOptions opts;
+  opts.cacheCapacity = 0;
+  opts.batchWindowMicros = 0;
+  std::atomic<unsigned> aborted{0};
+  sim::ClusterOptions copts;
+  copts.numHosts = 2;
+  try {
+    sim::runCluster(copts, [&](comm::RankContext& ctx) {
+      if (ctx.id() == 1) {
+        comm::Collectives coll(ctx.transport(), ctx.id(), comm::TagSpace::kServe);
+        (void)coll.broadcast({}, 0);
+        throw std::logic_error("rank 1 died");
+      }
+      // run() and the client's query both fail; the client's error is
+      // rethrown out of its thread too, which must not reach std::terminate.
+      QueryEngine(ctx.transport(), ctx.id(), store, opts).runWithClient([&](QueryEngine& e) {
+        try {
+          (void)e.queryWord(1, 5);
+        } catch (const comm::NetworkAborted&) {
+          aborted.fetch_add(1);
+          throw;
+        }
+      });
+    });
+    ADD_FAILURE() << "runCluster returned after a rank died";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "rank 1 died");
+  }
+  EXPECT_EQ(aborted.load(), 1u);
+}
+
 TEST(ServeQueryEngine, RunWithoutPublishedSnapshotThrows) {
   SnapshotStore store(8);
   sim::ClusterOptions copts;
   copts.numHosts = 1;
   EXPECT_THROW(sim::runCluster(copts,
                                [&](sim::HostContext& ctx) {
-                                 comm::SimTransport transport(ctx.network());
+                                 comm::Transport& transport = ctx.transport();
                                  QueryEngine engine(transport, ctx.id(), store, {});
                                  engine.shutdown();
                                  engine.run();
@@ -469,7 +501,7 @@ TEST(ServeQueryEngine, ConstructorValidatesOptions) {
   copts.numHosts = 2;
   EXPECT_THROW(sim::runCluster(copts,
                                [&](sim::HostContext& ctx) {
-                                 comm::SimTransport transport(ctx.network());
+                                 comm::Transport& transport = ctx.transport();
                                  QueryEngine engine(transport, ctx.id(), small, {});
                                }),
                std::invalid_argument);

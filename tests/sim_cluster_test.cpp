@@ -6,7 +6,7 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "sim/network_model.h"
+#include "comm/network_model.h"
 
 namespace gw2v::sim {
 namespace {
@@ -16,7 +16,7 @@ TEST(Cluster, RunsBodyOnEveryHost) {
   opts.numHosts = 5;
   std::atomic<unsigned> mask{0};
   runCluster(opts, [&](HostContext& ctx) {
-    EXPECT_EQ(ctx.numHosts(), 5u);
+    EXPECT_EQ(ctx.numRanks(), 5u);
     mask.fetch_or(1u << ctx.id());
   });
   EXPECT_EQ(mask.load(), 0b11111u);
@@ -52,7 +52,7 @@ TEST(Cluster, ReportContainsPerHostTraffic) {
   opts.numHosts = 2;
   const auto report = runCluster(opts, [&](HostContext& ctx) {
     if (ctx.id() == 0) ctx.network().send(0, 1, 1, std::vector<std::uint8_t>(100));
-    ctx.barrier();
+    ctx.transport().barrier(ctx.id());
     if (ctx.id() == 1) (void)ctx.network().recv(1, 0, 1);
   });
   ASSERT_EQ(report.hosts.size(), 2u);
@@ -86,7 +86,7 @@ TEST(Cluster, ModelledCommSecondsFlowThrough) {
     ctx.network().send(ctx.id(), peer, 1, std::vector<std::uint8_t>(500));
     (void)ctx.network().recv(ctx.id(), peer, 1);
     for (int round = 0; round < 2; ++round) {
-      const CommSnapshot before = snapshot(ctx.commStats());
+      const comm::CommSnapshot before = comm::snapshot(ctx.commStats());
       ctx.network().send(ctx.id(), peer, 2, std::vector<std::uint8_t>(1000));
       (void)ctx.network().recv(ctx.id(), peer, 2);
       ctx.chargeExchange(before);
@@ -94,7 +94,7 @@ TEST(Cluster, ModelledCommSecondsFlowThrough) {
   });
   // Each window moves one 1000-byte message each way: α + (sent + received)/β.
   const double perRound =
-      NetworkModel{}.transferSeconds(2 * (1000 + Network::kHeaderBytes), 1);
+      comm::NetworkModel{}.transferSeconds(2 * (1000 + Network::kHeaderBytes), 1);
   for (const auto& h : report.hosts) EXPECT_DOUBLE_EQ(h.modelledCommSeconds, 2 * perRound);
   EXPECT_DOUBLE_EQ(report.maxModelledCommSeconds(), 2 * perRound);
   EXPECT_GE(report.simulatedSeconds(), 2 * perRound);
@@ -107,7 +107,7 @@ TEST(Cluster, SyncSecondsFlowIntoTheReport) {
   ClusterOptions opts;
   opts.numHosts = 2;
   const auto report = runCluster(opts, [&](HostContext& ctx) {
-    SyncPhaseSeconds& s = ctx.syncSeconds();
+    comm::SyncPhaseSeconds& s = ctx.syncSeconds();
     const double scale = ctx.id() == 0 ? 1.0 : 2.0;
     for (int round = 0; round < 2; ++round) {
       s.pack += 0.5 * scale;
@@ -119,7 +119,7 @@ TEST(Cluster, SyncSecondsFlowIntoTheReport) {
   EXPECT_DOUBLE_EQ(report.hosts[0].sync.pack, 1.0);
   EXPECT_DOUBLE_EQ(report.hosts[1].sync.exchange, 0.25);
   EXPECT_DOUBLE_EQ(report.hosts[0].sync.total(), 1.0 + 0.5 + 0.25 + 0.125);
-  const SyncPhaseSeconds worst = report.maxSyncPhaseSeconds();
+  const comm::SyncPhaseSeconds worst = report.maxSyncPhaseSeconds();
   EXPECT_DOUBLE_EQ(worst.pack, 2.0);
   EXPECT_DOUBLE_EQ(worst.exchange, 0.5);
   EXPECT_DOUBLE_EQ(worst.fold, 0.25);
@@ -133,7 +133,7 @@ TEST(Cluster, ExceptionPropagatesFromHost) {
                           [](HostContext& ctx) {
                             if (ctx.id() == 1) throw std::runtime_error("host 1 died");
                             // Peers block; abort must wake them.
-                            ctx.barrier();
+                            ctx.transport().barrier(ctx.id());
                           }),
                std::runtime_error);
 }
@@ -150,7 +150,7 @@ TEST(Cluster, ExceptionWhilePeersBlockedInRecv) {
 }
 
 TEST(NetworkModel, TransferTimeIsAlphaBeta) {
-  NetworkModel m;
+  comm::NetworkModel m;
   m.latencySeconds = 1e-6;
   m.bandwidthBytesPerSec = 1e9;
   EXPECT_DOUBLE_EQ(m.transferSeconds(0, 0), 0.0);
@@ -160,20 +160,20 @@ TEST(NetworkModel, TransferTimeIsAlphaBeta) {
 }
 
 TEST(NetworkModel, ExchangeCountsSendPlusRecv) {
-  NetworkModel m;
+  comm::NetworkModel m;
   m.latencySeconds = 0.0;
   m.bandwidthBytesPerSec = 100.0;
-  CommSnapshot d{50, 50, 3};
+  comm::CommSnapshot d{50, 50, 3};
   EXPECT_DOUBLE_EQ(m.exchangeSeconds(d), 1.0);
 }
 
 TEST(CommStats, SnapshotDelta) {
-  CommStats s;
+  comm::CommStats s;
   s.recordSend(100);
-  const auto before = snapshot(s);
+  const auto before = comm::snapshot(s);
   s.recordSend(50);
   s.recordReceive(30);
-  const auto d = delta(before, snapshot(s));
+  const auto d = comm::delta(before, comm::snapshot(s));
   EXPECT_EQ(d.bytesSent, 50u);
   EXPECT_EQ(d.bytesReceived, 30u);
   EXPECT_EQ(d.messagesSent, 1u);

@@ -102,14 +102,14 @@ TEST(Network, StatsCountHeaderAndPayload) {
 TEST(Network, ReceiveCountsInTheDrainingWindow) {
   ClusterOptions opts;
   opts.numHosts = 2;
-  CommSnapshot window{};
+  comm::CommSnapshot window{};
   runCluster(opts, [&](HostContext& ctx) {
     if (ctx.id() == 0) ctx.network().send(0, 1, 1, std::vector<std::uint8_t>(300));
-    ctx.barrier();
+    ctx.transport().barrier(ctx.id());
     if (ctx.id() == 1) {
-      const CommSnapshot before = snapshot(ctx.commStats());
+      const comm::CommSnapshot before = comm::snapshot(ctx.commStats());
       (void)ctx.network().recv(1, 0, 1);
-      window = delta(before, snapshot(ctx.commStats()));
+      window = comm::delta(before, comm::snapshot(ctx.commStats()));
     }
   });
   EXPECT_EQ(window.bytesReceived, 300 + Network::kHeaderBytes);
@@ -167,19 +167,19 @@ TEST(Network, BarrierReusable) {
 
 TEST(Network, AbortWakesBlockedReceiver) {
   Network net(2);
-  std::thread blocked([&] { EXPECT_THROW(net.recv(1, 0, 1), NetworkAborted); });
+  std::thread blocked([&] { EXPECT_THROW(net.recv(1, 0, 1), comm::NetworkAborted); });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   net.abort();
   blocked.join();
   EXPECT_TRUE(net.aborted());
-  EXPECT_THROW(net.send(0, 1, 1, {}), NetworkAborted);
-  EXPECT_THROW(net.barrier(0), NetworkAborted);
+  EXPECT_THROW(net.send(0, 1, 1, {}), comm::NetworkAborted);
+  EXPECT_THROW(net.barrier(0), comm::NetworkAborted);
 }
 
 TEST(Network, AbortWakesBarrierWaiters) {
   Network net(3);
-  std::thread w1([&] { EXPECT_THROW(net.barrier(0), NetworkAborted); });
-  std::thread w2([&] { EXPECT_THROW(net.barrier(1), NetworkAborted); });
+  std::thread w1([&] { EXPECT_THROW(net.barrier(0), comm::NetworkAborted); });
+  std::thread w2([&] { EXPECT_THROW(net.barrier(1), comm::NetworkAborted); });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   net.abort();
   w1.join();
