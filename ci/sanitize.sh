@@ -49,7 +49,11 @@ if [[ "$SANITIZE" == *thread* ]]; then
   # hand-built rank 1), and the serve round leader (ServeQueryEngine.*:
   # client threads hand the lead of each round to one another under the
   # queue mutex while the rank-0 host thread waits in run(), including the
-  # concurrent-client, shutdown and worker-death cases) — must be race-free.
+  # concurrent-client, shutdown and worker-death cases), and the fabric's
+  # spin-then-park wait (Network.* / Collectives.* / RankContext.*: a
+  # receiver reads its mailbox's arrival count under the mailbox mutex,
+  # spins on it outside the lock, then parks in std::atomic::wait; the
+  # payload itself only ever crosses under the mutex) — must be race-free.
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" -E 'Hogwild'
 else
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
@@ -61,11 +65,13 @@ fi
 # races on the hazard slots (TSan).
 GW2V_HOTSWAP_ITERS=2000 ctest --test-dir "$BUILD_DIR" -R 'Serve' --output-on-failure
 
-# Stress the serve round leader the same way: a lost wake-up or a race in
-# handing the lead of a round from one client thread to the next surfaces
-# as a hang, a wrong answer or a sanitizer report within a few repeats.
-ctest --test-dir "$BUILD_DIR" -R 'ServeQueryEngine|ServeMalformed' --output-on-failure \
-  --repeat until-fail:20
+# Stress the serve round leader and the fabric's mailboxes the same way: a
+# lost wake-up (in handing the lead of a round from one client thread to the
+# next, or in a mailbox's spin-then-park wait) or a race surfaces as a hang,
+# a wrong answer or a sanitizer report within a few repeats.
+ctest --test-dir "$BUILD_DIR" \
+  -R 'ServeQueryEngine|ServeMalformed|Network\.|Collectives\.|RankContext\.' \
+  --output-on-failure --repeat until-fail:20
 
 # Out-of-core spill files (src/store/) are scratch state: the store tests
 # write *.blocks under the gtest temp dir and clean up after themselves, but

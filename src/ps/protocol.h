@@ -37,9 +37,12 @@
 // the server keeps per-row reply residuals folded into the encode-once reply
 // cache, so quantization error stays bounded instead of accumulating.
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -98,10 +101,17 @@ inline void stampArrival(std::vector<std::uint8_t>& msg, double arriveVt) {
   std::memcpy(msg.data() + 1, &arriveVt, sizeof(double));
 }
 
+/// Decodes the envelope off the wire; a kind outside MsgKind, or an arrival
+/// stamp that is non-finite or negative, throws std::runtime_error like every
+/// other malformed field (a bad stamp would silently poison modelled time).
 inline std::pair<MsgKind, double> readEnvelope(comm::ByteReader& r) {
-  const auto kind = static_cast<MsgKind>(r.get<std::uint8_t>());
+  const auto kind = r.get<std::uint8_t>();
+  if (kind > static_cast<std::uint8_t>(MsgKind::kReply))
+    throw std::runtime_error("ps: unknown message kind " + std::to_string(kind));
   const double arriveVt = r.get<double>();
-  return {kind, arriveVt};
+  if (!std::isfinite(arriveVt) || arriveVt < 0.0)
+    throw std::runtime_error("ps: arrival stamp is not a finite time >= 0");
+  return {static_cast<MsgKind>(kind), arriveVt};
 }
 
 // ---- Codec'd row values inside message bodies ----

@@ -70,7 +70,7 @@ PsResult trainAsyncPs(const text::Vocabulary& vocab, std::span<const text::WordI
           case MsgKind::kGet: core->onGet(worker, arriveVt, r); break;
           case MsgKind::kAdd: core->onAdd(worker, arriveVt, r); break;
           case MsgKind::kDone: core->onDone(worker); break;
-          default: throw std::logic_error("ps server: unexpected message kind");
+          default: throw std::runtime_error("ps server: unexpected message kind");
         }
         core->pump(emit);
         ctx.computeTimer().stop();
@@ -112,7 +112,7 @@ PsResult trainAsyncPs(const text::Vocabulary& vocab, std::span<const text::WordI
         const auto payload = net.recv(me, s, kTagReply);
         comm::ByteReader r(payload);
         const auto [kind, arriveVt] = readEnvelope(r);
-        if (kind != MsgKind::kReply) throw std::logic_error("ps worker: expected a reply");
+        if (kind != MsgKind::kReply) throw std::runtime_error("ps worker: expected a reply");
         cpuMark = util::ThreadCpuTimer::now();  // blocked time is not compute
         vt.observeArrival(me, arriveVt);
         ctx.computeTimer().start();

@@ -126,7 +126,7 @@ void QueryEngine::run() {
   }
   if (!store_.current()) throw std::runtime_error("QueryEngine::run: no snapshot published");
   std::unique_lock<std::mutex> lock(queueMu_);
-  doneCv_.wait(lock, [&] { return failure_ || (stopping_ && queue_.empty() && !inFlight_); });
+  stopCv_.wait(lock, [&] { return failure_ || (stopping_ && queue_.empty() && !inFlight_); });
   if (failure_) std::rethrow_exception(failure_);
   inFlight_ = true;  // for good: no round may follow the stop round
   lock.unlock();
@@ -229,7 +229,7 @@ void QueryEngine::shutdown() {
     stopping_ = true;
   }
   arrivalCv_.notify_all();
-  doneCv_.notify_all();
+  stopCv_.notify_one();
 }
 
 void QueryEngine::leadRound(std::unique_lock<std::mutex>& lock) {
@@ -264,8 +264,11 @@ void QueryEngine::leadRound(std::unique_lock<std::mutex>& lock) {
   for (Pending* p : batch_) p->done = true;
   batch_.clear();
   inFlight_ = false;
+  // Rank 0's host thread sleeps through every other round.
+  const bool wakeRun = failure || stopping_;
   lock.unlock();
   doneCv_.notify_all();
+  if (wakeRun) stopCv_.notify_one();
   lock.lock();
 }
 

@@ -180,7 +180,8 @@ class QueryEngine {
   QueryResult submit(Request req);
   /// Called under `lock` with no round in flight: takes the next batch, runs
   /// its round with the lock released, then marks every answer done (on a
-  /// failure, every queued request too) and wakes the waiting submitters.
+  /// failure, every queued request too) and wakes the waiting submitters,
+  /// and rank 0's run() only if the round failed or shutdown() came.
   void leadRound(std::unique_lock<std::mutex>& lock);
   /// The round over batch_; writes each request's outcome into its slot.
   void serveBatch();
@@ -214,7 +215,8 @@ class QueryEngine {
 
   std::mutex queueMu_;
   std::condition_variable arrivalCv_;  // wakes a leader waiting out the window
-  std::condition_variable doneCv_;     // answers done, round ended, shutdown
+  std::condition_variable doneCv_;     // answers done, round ended
+  std::condition_variable stopCv_;     // run(): shutdown, failed round, last rounds
   std::deque<Pending*> queue_;
   bool inFlight_ = false;        // a thread leads a round (for good after stop)
   bool stopping_ = false;

@@ -30,9 +30,16 @@ EmbeddingSnapshot::EmbeddingSnapshot(const graph::ModelGraph& model,
     vocab_ = *vocab;
   }
   const auto& table = model.table(graph::Label::kEmbedding);
+  // A NaN or infinite element, or squares that overflow, make the norm
+  // non-finite; such a row would feed NaN scores to every rank's top-k heap
+  // and sort, so the build fails before anything can publish it.
   const auto renormalize = [&](std::uint32_t w) {
     const auto src = table.row(w);
     float n = util::norm(src);
+    if (!std::isfinite(n))
+      throw std::invalid_argument("EmbeddingSnapshot: row " + std::to_string(w) +
+                                  " of version " + std::to_string(version) +
+                                  " is not finite");
     if (n <= 0.0f) n = 1.0f;
     float* dst = util::checkedRow(data_.data() + static_cast<std::size_t>(w) * stride_);
     for (std::uint32_t d = 0; d < dim_; ++d) dst[d] = src[d] / n;

@@ -42,7 +42,9 @@ class EmbeddingSnapshot {
   /// Copies and L2-normalizes every embedding row of `model` into an aligned
   /// padded matrix. `vocab` may be null (the offline evaluator skips the
   /// copy); serving from the snapshot by word requires it. When given, its
-  /// size must equal the model's node count.
+  /// size must equal the model's node count. A row whose norm is not finite
+  /// (a diverged model) throws std::invalid_argument naming the row and the
+  /// version, in every build variant below, so nothing can publish it.
   EmbeddingSnapshot(const graph::ModelGraph& model, const text::Vocabulary* vocab,
                     std::uint64_t version);
 

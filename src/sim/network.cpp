@@ -20,44 +20,40 @@ void Network::send(HostId src, HostId dst, int tag, std::vector<std::uint8_t> pa
     std::lock_guard<std::mutex> lock(mb.mutex);
     mb.messages.push_back(Message{src, tag, std::move(payload)});
   }
-  mb.cv.notify_all();
+  mb.arrivals.notify();
+}
+
+template <typename Match>
+Network::Message Network::take(HostId dst, Match match) {
+  Mailbox& mb = mailboxes_[dst];
+  std::unique_lock<std::mutex> lock(mb.mutex);
+  for (;;) {
+    // Read the count before the abort check and the scan: a push or an
+    // abort() after them bumps it past `seen`, so the wait cannot miss it.
+    const std::uint32_t seen = mb.arrivals.read();
+    if (aborted()) throw comm::NetworkAborted();
+    const auto it = std::find_if(mb.messages.begin(), mb.messages.end(), match);
+    if (it != mb.messages.end()) {
+      Message m = std::move(*it);
+      mb.messages.erase(it);
+      stats_[dst].recordReceive(m.payload.size() + kHeaderBytes);
+      return m;
+    }
+    lock.unlock();
+    mb.arrivals.wait(seen);
+    lock.lock();
+  }
 }
 
 std::vector<std::uint8_t> Network::recv(HostId dst, HostId src, int tag) {
   assert(dst < numHosts_ && src < numHosts_);
-  Mailbox& mb = mailboxes_[dst];
-  std::unique_lock<std::mutex> lock(mb.mutex);
-  for (;;) {
-    if (aborted()) throw comm::NetworkAborted();
-    const auto it = std::find_if(mb.messages.begin(), mb.messages.end(), [&](const Message& m) {
-      return m.src == src && m.tag == tag;
-    });
-    if (it != mb.messages.end()) {
-      std::vector<std::uint8_t> payload = std::move(it->payload);
-      mb.messages.erase(it);
-      stats_[dst].recordReceive(payload.size() + kHeaderBytes);
-      return payload;
-    }
-    mb.cv.wait(lock);
-  }
+  return take(dst, [&](const Message& m) { return m.src == src && m.tag == tag; }).payload;
 }
 
 std::pair<HostId, std::vector<std::uint8_t>> Network::recvAny(HostId dst, int tag) {
   assert(dst < numHosts_);
-  Mailbox& mb = mailboxes_[dst];
-  std::unique_lock<std::mutex> lock(mb.mutex);
-  for (;;) {
-    if (aborted()) throw comm::NetworkAborted();
-    const auto it = std::find_if(mb.messages.begin(), mb.messages.end(),
-                                 [&](const Message& m) { return m.tag == tag; });
-    if (it != mb.messages.end()) {
-      std::pair<HostId, std::vector<std::uint8_t>> out{it->src, std::move(it->payload)};
-      mb.messages.erase(it);
-      stats_[dst].recordReceive(out.second.size() + kHeaderBytes);
-      return out;
-    }
-    mb.cv.wait(lock);
-  }
+  Message m = take(dst, [&](const Message& msg) { return msg.tag == tag; });
+  return {m.src, std::move(m.payload)};
 }
 
 void Network::barrier(HostId /*host*/) {
@@ -102,10 +98,7 @@ void Network::registerTagRange(int lo, int hi, const char* owner) {
 
 void Network::abort() noexcept {
   aborted_.store(true, std::memory_order_release);
-  for (auto& mb : mailboxes_) {
-    std::lock_guard<std::mutex> lock(mb.mutex);
-    mb.cv.notify_all();
-  }
+  for (auto& mb : mailboxes_) mb.arrivals.notify();
   {
     std::lock_guard<std::mutex> lock(barrierMutex_);
     barrierCv_.notify_all();

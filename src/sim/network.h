@@ -10,6 +10,16 @@
 // Every payload is copied through the mailbox (never shared), so the hosts
 // genuinely cannot observe each other's memory except via messages; this is
 // what makes the simulation a faithful stand-in for a distributed cluster.
+//
+// A blocked receive spins, then parks (runtime::EventCount): each mailbox
+// keeps an arrival count on its own cache line, which send() and abort()
+// bump. A receiver reads the count under the mailbox mutex before it scans,
+// then re-reads it with a CPU pause for up to runtime::kSpinBudget before it
+// sleeps, so a message that arrives within the budget (both hand-offs of a
+// serve round) costs no sleep and no wake-up. A message for another
+// (source, tag) wakes the receiver too; it rescans and waits again. The
+// barrier waits on a condition variable: a BSP straggler keeps it waiting
+// for milliseconds, far past any useful spin.
 
 #include <atomic>
 #include <condition_variable>
@@ -20,6 +30,7 @@
 #include <vector>
 
 #include "comm/comm_stats.h"
+#include "runtime/event_count.h"
 
 namespace gw2v::sim {
 
@@ -75,9 +86,15 @@ class Network {
 
   struct Mailbox {
     std::mutex mutex;
-    std::condition_variable cv;
     std::deque<Message> messages;
+    runtime::EventCount arrivals;  // bumped after every push, and by abort()
   };
+
+  /// Blocks until a message of `dst`'s mailbox satisfies `match`, then
+  /// removes it and counts its receive; throws comm::NetworkAborted once the
+  /// network is aborted.
+  template <typename Match>
+  Message take(HostId dst, Match match);
 
   struct TagRange {
     int lo;

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -510,6 +511,48 @@ TEST(PsClientCore, RejectsMalformedReplies) {
     client.applyReply(local, 0, first);
     comm::ByteReader again(body);
     EXPECT_THROW(client.applyReply(local, 0, again), std::runtime_error);
+  }
+}
+
+TEST(PsProtocol, RejectsMalformedEnvelope) {
+  // The envelope comes off the wire like every body field: a kind outside
+  // MsgKind, a stamp that is not a finite time >= 0, or too few bytes throw.
+  const auto read = [](const std::vector<std::uint8_t>& msg) {
+    comm::ByteReader r(msg);
+    return readEnvelope(r);
+  };
+  const auto stamped = [](double vt) {
+    auto msg = withEnvelope(MsgKind::kAdd, {7});
+    stampArrival(msg, vt);
+    return msg;
+  };
+  EXPECT_THROW(read(stamped(std::numeric_limits<double>::quiet_NaN())), std::runtime_error);
+  EXPECT_THROW(read(stamped(std::numeric_limits<double>::infinity())), std::runtime_error);
+  EXPECT_THROW(read(stamped(-1.0)), std::runtime_error);
+  for (const std::uint8_t kind : {std::uint8_t{4}, std::uint8_t{255}}) {
+    auto msg = stamped(1.0);
+    msg[0] = kind;
+    EXPECT_THROW(read(msg), std::runtime_error) << "kind " << int{kind};
+  }
+  {
+    auto msg = withEnvelope(MsgKind::kDone, {});
+    msg.pop_back();
+    EXPECT_THROW(read(msg), std::runtime_error);  // truncated
+  }
+
+  // Control: every kind with a zero or positive stamp decodes, and the body
+  // follows the envelope.
+  for (const MsgKind kind : {MsgKind::kGet, MsgKind::kAdd, MsgKind::kDone, MsgKind::kReply}) {
+    for (const double vt : {0.0, 2.5}) {
+      auto msg = withEnvelope(kind, {7});
+      stampArrival(msg, vt);
+      comm::ByteReader r(msg);
+      const auto [gotKind, gotVt] = readEnvelope(r);
+      EXPECT_EQ(gotKind, kind);
+      EXPECT_EQ(gotVt, vt);
+      EXPECT_EQ(r.get<std::uint8_t>(), 7);
+      EXPECT_TRUE(r.done());
+    }
   }
 }
 

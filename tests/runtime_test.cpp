@@ -1,16 +1,52 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "runtime/do_all.h"
+#include "runtime/event_count.h"
 #include "runtime/per_thread.h"
 #include "runtime/thread_pool.h"
 #include "runtime/work_queue.h"
 
 namespace gw2v::runtime {
 namespace {
+
+TEST(EventCount, WaitReturnsAtOnceWhenTheCountMoved) {
+  EventCount ec;
+  const std::uint32_t seen = ec.read();
+  ec.notify();
+  EXPECT_NE(ec.read(), seen);
+  ec.wait(seen);  // would park for good if the bump were not seen
+}
+
+TEST(EventCount, NotifyWakesASpinningAndAParkedWaiter) {
+  // At once, inside the spin, and long after the waiter has parked.
+  for (const std::chrono::nanoseconds delay :
+       {std::chrono::nanoseconds(0), kSpinBudget / 2,
+        std::chrono::nanoseconds(std::chrono::milliseconds(5))}) {
+    EventCount ec;
+    std::atomic<bool> flag{false};
+    const std::uint32_t seen = ec.read();
+    std::thread signaller([&] {
+      if (delay > std::chrono::milliseconds(1)) {
+        std::this_thread::sleep_for(delay);
+      } else {
+        const auto until = std::chrono::steady_clock::now() + delay;
+        while (std::chrono::steady_clock::now() < until) {
+        }
+      }
+      flag = true;
+      ec.notify();
+    });
+    ec.wait(seen);
+    EXPECT_TRUE(flag) << delay.count() << " ns";
+    signaller.join();
+  }
+}
 
 TEST(ThreadPool, SingleThreadRunsInline) {
   ThreadPool pool(1);

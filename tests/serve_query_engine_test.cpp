@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "comm/collectives.h"
+#include "comm/serialize.h"
 #include "comm/transport.h"
 #include "eval/embedding_view.h"
 #include "graph/model_graph.h"
@@ -356,6 +357,66 @@ TEST(ServeQueryEngine, ShutdownServesWhatIsQueued) {
   EXPECT_EQ(refused.load(), kClients);
   EXPECT_EQ(wrong.load(), 0u);
   EXPECT_EQ(runsReturned.load(), kHosts);
+}
+
+// shutdown() lands while the only round is in flight and nothing is queued:
+// rank 0's run() wakes on the shutdown, finds the round in flight and sleeps
+// again, so the round's end must wake it to send the stop round.
+TEST(ServeQueryEngine, ShutdownDuringTheLastRoundStillStopsRun) {
+  const graph::ModelGraph model = makeModel(79);
+  const text::Vocabulary vocab = makeVocab(kVocab);
+  SnapshotStore store(8);
+  store.publish(std::make_shared<const EmbeddingSnapshot>(model, &vocab, 1));
+
+  ServeOptions opts;
+  opts.cacheCapacity = 0;
+  opts.batchWindowMicros = 0;
+  std::atomic<bool> shutdownCalled{false};
+  std::atomic<std::uint64_t> servedVersion{0};
+
+  sim::ClusterOptions copts;
+  copts.numHosts = 2;
+  sim::runCluster(copts, [&](comm::RankContext& ctx) {
+    comm::Transport& transport = ctx.transport();
+    if (ctx.id() == 1) {
+      // A hand-built rank 1 holds its reply (an empty list) until rank 0
+      // has been told to shut down, then takes the stop round.
+      comm::Collectives coll(transport, ctx.id(), comm::TagSpace::kServe);
+      EXPECT_FALSE(coll.broadcast({}, 0).empty());
+      while (!shutdownCalled) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      comm::ByteWriter reply;
+      reply.put<std::uint32_t>(0);
+      (void)coll.gatherv(reply.take(), 0);
+      EXPECT_TRUE(coll.broadcast({}, 0).empty());
+      return;
+    }
+    QueryEngine engine(transport, ctx.id(), store, opts);
+    std::thread client([&] {
+      try {
+        servedVersion = engine.queryWord(3, 5).version;
+      } catch (...) {
+        // servedVersion stays 0 and the check below fails.
+      }
+    });
+    std::thread stopper([&] {
+      while (engine.metrics().batches.load() == 0) std::this_thread::yield();
+      engine.shutdown();
+      shutdownCalled = true;
+    });
+    const auto joinAll = [&] {
+      stopper.join();
+      client.join();
+    };
+    try {
+      engine.run();
+    } catch (...) {
+      joinAll();
+      throw;
+    }
+    joinAll();
+  });
+  EXPECT_EQ(servedVersion.load(), 1u);
 }
 
 TEST(ServeQueryEngine, WorkerDeathFailsEveryWaitingQuery) {

@@ -5,9 +5,14 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "graph/model_io.h"
+#include "serve/query_engine.h"
+#include "sim/cluster.h"
 #include "text/vocabulary.h"
 #include "util/rng.h"
 
@@ -164,6 +169,106 @@ TEST(EmbeddingSnapshot, IncrementalFallsBackToFullOnShapeMismatch) {
   const auto inc = EmbeddingSnapshot::fromModel(big, nullptr, 2, *prev);
   const auto full = EmbeddingSnapshot::fromModel(big, nullptr, 2);
   expectMatricesBitIdentical(*full, *inc);
+}
+
+/// A diverged model: one element of embedding row `row` set to `bad`.
+void poisonRow(graph::ModelGraph& model, std::uint32_t row, float bad) {
+  model.mutableRow(graph::Label::kEmbedding, row)[2] = bad;
+  model.clearTouched();
+}
+
+void expectRejectsRow(const std::function<void()>& build, const std::string& what) {
+  try {
+    build();
+    ADD_FAILURE() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
+}
+
+const float kNonFinite[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()};
+
+TEST(EmbeddingSnapshot, NonFiniteRowFailsTheFullBuild) {
+  for (const float bad : kNonFinite) {
+    graph::ModelGraph model(12, 6);
+    model.randomizeEmbeddings(5);
+    poisonRow(model, 7, bad);
+    expectRejectsRow([&] { (void)EmbeddingSnapshot::fromModel(model, nullptr, 4); },
+                     "row 7 of version 4");
+    expectRejectsRow(
+        [&] { (void)EmbeddingSnapshot::fromModel(model, nullptr, 4, AnnBuildOptions{}); },
+        "row 7 of version 4");
+  }
+}
+
+TEST(EmbeddingSnapshot, NonFiniteRowFailsTheIncrementalBuild) {
+  for (const float bad : kNonFinite) {
+    graph::ModelGraph model(12, 6);
+    model.randomizeEmbeddings(5);
+    const auto prev = EmbeddingSnapshot::fromModel(model, nullptr, 1);
+    model.clearTouched();
+    poisonRow(model, 9, bad);
+    expectRejectsRow([&] { (void)EmbeddingSnapshot::fromModel(model, nullptr, 2, *prev); },
+                     "row 9 of version 2");
+  }
+}
+
+TEST(EmbeddingSnapshot, OverflowingSquaresFailTheBuild) {
+  graph::ModelGraph model(4, 3);
+  model.randomizeEmbeddings(5);
+  auto row = model.mutableRow(graph::Label::kEmbedding, 1);
+  for (float& x : row) x = 1e20f;  // finite, but x*x is not
+  expectRejectsRow([&] { (void)EmbeddingSnapshot::fromModel(model, nullptr, 3); },
+                   "row 1 of version 3");
+}
+
+TEST(EmbeddingSnapshot, NonFiniteRowFailsTheCheckpointBuild) {
+  graph::ModelGraph model(6, 4);
+  model.randomizeEmbeddings(8);
+  poisonRow(model, 4, std::numeric_limits<float>::quiet_NaN());
+  const text::Vocabulary vocab = makeVocab(6);
+  const std::string path = tempPath("gw2v_serve_snap_nan.bin");
+  graph::saveCheckpoint(path, model, &vocab);
+  expectRejectsRow([&] { (void)EmbeddingSnapshot::fromCheckpointFile(path, 5); },
+                   "row 4 of version 5");
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotStore, RejectedBuildLeavesThePreviousVersionServing) {
+  graph::ModelGraph model(30, 6);
+  model.randomizeEmbeddings(21);
+  const text::Vocabulary vocab = makeVocab(30);
+  SnapshotStore store(4);
+  store.publish(EmbeddingSnapshot::fromModel(model, &vocab, 1));
+  model.clearTouched();
+
+  ServeOptions opts;
+  opts.cacheCapacity = 0;  // every query runs a round against the pinned version
+  sim::ClusterOptions copts;
+  copts.numHosts = 2;
+  sim::runCluster(copts, [&](comm::RankContext& ctx) {
+    QueryEngine(ctx.transport(), ctx.id(), store, opts).runWithClient([&](QueryEngine& engine) {
+      const QueryResult before = engine.queryWord(3, 5);
+      ASSERT_EQ(before.version, 1u);
+
+      poisonRow(model, 11, std::numeric_limits<float>::quiet_NaN());
+      EXPECT_THROW(store.publish(EmbeddingSnapshot::fromModel(model, &vocab, 2, *store.current())),
+                   std::invalid_argument);
+      EXPECT_EQ(store.currentVersion(), 1u);
+      EXPECT_EQ(store.pin(2)->version(), 1u);
+
+      const QueryResult after = engine.queryWord(3, 5);
+      EXPECT_EQ(after.version, 1u);
+      ASSERT_EQ(after.neighbors.size(), before.neighbors.size());
+      for (std::size_t i = 0; i < before.neighbors.size(); ++i) {
+        EXPECT_EQ(after.neighbors[i].id, before.neighbors[i].id);
+        EXPECT_EQ(after.neighbors[i].score, before.neighbors[i].score);
+      }
+      EXPECT_EQ(engine.queryWord(11, 5).version, 1u);
+    });
+  });
 }
 
 TEST(SnapshotStore, CurrentReturnsThePublishedSnapshot) {

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "runtime/event_count.h"
 #include "sim/cluster.h"
 
 namespace gw2v::sim {
@@ -174,6 +177,131 @@ TEST(Network, AbortWakesBlockedReceiver) {
   EXPECT_TRUE(net.aborted());
   EXPECT_THROW(net.send(0, 1, 1, {}), comm::NetworkAborted);
   EXPECT_THROW(net.barrier(0), comm::NetworkAborted);
+}
+
+// ---- The spin-then-park wait under the mailboxes (runtime::EventCount) ----
+
+using std::chrono::milliseconds;
+using std::chrono::nanoseconds;
+
+/// Busy-waits short delays (sleep_for overshoots by the timer slack, tens
+/// of microseconds) and sleeps long ones.
+void delayFor(nanoseconds d) {
+  if (d >= milliseconds(1)) {
+    std::this_thread::sleep_for(d);
+    return;
+  }
+  const auto until = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+/// Sender delays that land at once, inside the spin and after the receiver
+/// has parked.
+const nanoseconds kWakeDelays[] = {nanoseconds(0), runtime::kSpinBudget / 2, milliseconds(5)};
+
+TEST(Network, RecvWakesInsideTheSpinAndAfterParking) {
+  for (const nanoseconds delay : kWakeDelays) {
+    Network net(2);
+    std::thread sender([&] {
+      delayFor(delay);
+      net.send(0, 1, 3, bytes({7}));
+    });
+    EXPECT_EQ(net.recv(1, 0, 3), bytes({7})) << delay.count() << " ns";
+    sender.join();
+  }
+}
+
+TEST(Network, RecvAnyWakesInsideTheSpinAndAfterParking) {
+  for (const nanoseconds delay : kWakeDelays) {
+    Network net(3);
+    std::thread sender([&] {
+      delayFor(delay);
+      net.send(2, 0, 3, bytes({8}));
+    });
+    const auto [src, payload] = net.recvAny(0, 3);
+    EXPECT_EQ(src, 2u) << delay.count() << " ns";
+    EXPECT_EQ(payload, bytes({8}));
+    sender.join();
+  }
+}
+
+TEST(Network, AbortWakesParkedRecvAny) {
+  Network net(2);
+  std::thread blocked([&] { EXPECT_THROW(net.recvAny(1, 1), comm::NetworkAborted); });
+  std::this_thread::sleep_for(milliseconds(10));  // far past the spin budget
+  net.abort();
+  blocked.join();
+}
+
+// A message for another (source, tag) wakes the receiver too; it must rescan,
+// leave that message queued and wait again, spinning or parked.
+TEST(Network, WakeForAnotherMatchRescansAndWaitsAgain) {
+  for (const nanoseconds delay : kWakeDelays) {
+    Network net(3);
+    std::atomic<bool> started{false}, returned{false};
+    std::vector<std::uint8_t> got;
+    std::thread receiver([&] {
+      started = true;
+      got = net.recv(1, 0, 1);
+      returned = true;
+    });
+    while (!started) std::this_thread::yield();
+    delayFor(delay);
+    net.send(0, 1, 2, bytes({2}));  // same source, other tag
+    net.send(2, 1, 1, bytes({3}));  // same tag, other source
+    std::this_thread::sleep_for(milliseconds(5));
+    EXPECT_FALSE(returned) << delay.count() << " ns";
+    net.send(0, 1, 1, bytes({1}));
+    receiver.join();
+    EXPECT_EQ(got, bytes({1}));
+    EXPECT_EQ(net.recv(1, 0, 2), bytes({2}));
+    EXPECT_EQ(net.recv(1, 2, 1), bytes({3}));
+  }
+}
+
+// Two hosts bounce one message back and forth; each side delays before it
+// sends by nothing, half the spin budget or twice it, so the receiver meets
+// every arrival while spinning, at the edge of the budget and parked. A lost
+// wake-up hangs the test. Past the budget every hand-off parks and pays a
+// futex wake, so that case runs fewer round trips.
+TEST(Network, PingPongStressLosesNoWakeUp) {
+  const struct {
+    nanoseconds delay;
+    std::uint32_t roundTrips;
+  } cases[] = {{nanoseconds(0), 10000},
+               {runtime::kSpinBudget / 2, 10000},
+               {runtime::kSpinBudget * 2, 2500}};
+  for (const auto [delay, roundTrips] : cases) {
+    Network net(2);
+    const auto encode = [](std::uint32_t i) {
+      std::vector<std::uint8_t> b(sizeof i);
+      std::memcpy(b.data(), &i, sizeof i);
+      return b;
+    };
+    const auto decode = [](const std::vector<std::uint8_t>& b) {
+      std::uint32_t i = 0;
+      std::memcpy(&i, b.data(), sizeof i);
+      return i;
+    };
+    std::atomic<std::uint32_t> mismatches{0};
+    std::thread ponger([&] {
+      for (std::uint32_t i = 0; i < roundTrips; ++i) {
+        auto [src, ping] = net.recvAny(1, 5);
+        if (src != 0 || decode(ping) != i) ++mismatches;
+        delayFor(delay);
+        net.send(1, 0, 6, std::move(ping));
+      }
+    });
+    for (std::uint32_t i = 0; i < roundTrips; ++i) {
+      delayFor(delay);
+      net.send(0, 1, 5, encode(i));
+      if (decode(net.recv(0, 1, 6)) != i) ++mismatches;
+    }
+    ponger.join();
+    EXPECT_EQ(mismatches.load(), 0u) << delay.count() << " ns";
+    EXPECT_EQ(net.statsFor(0).messagesSent(), roundTrips);
+  }
 }
 
 TEST(Network, AbortWakesBarrierWaiters) {
